@@ -421,21 +421,22 @@ def _group_arrays(groups: Sequence[IndexGroup]) -> tuple[np.ndarray, np.ndarray]
     return offsets, members
 
 
-def overlap_delta_max(groups: Sequence[IndexGroup]) -> float:
-    """Worst-case overlap: max over groups of the fraction of all groups
-    (including itself in the denominator) that intersect it."""
+def _overlap_deltas(groups: Sequence[IndexGroup]) -> tuple[float, float]:
+    """(delta_avg, delta_max) from one pass of the pairwise overlap kernel."""
     if len(groups) < 2:
         raise ValueError("need at least two groups")
     offsets, members = _group_arrays(groups)
-    counts, _ = kernels.pairwise_overlap_stats(offsets, members)
-    return float(np.max(counts) / len(groups))
+    counts, jaccard_sum = kernels.pairwise_overlap_stats(offsets, members)
+    n_pairs = len(groups) * (len(groups) - 1) // 2
+    return float(jaccard_sum / n_pairs), float(np.max(counts) / len(groups))
+
+
+def overlap_delta_max(groups: Sequence[IndexGroup]) -> float:
+    """Worst-case overlap: max over groups of the fraction of all groups
+    (including itself in the denominator) that intersect it."""
+    return _overlap_deltas(groups)[1]
 
 
 def overlap_delta_avg(groups: Sequence[IndexGroup]) -> float:
     """Mean pairwise Jaccard similarity over unordered group pairs."""
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
-    offsets, members = _group_arrays(groups)
-    _, jaccard_sum = kernels.pairwise_overlap_stats(offsets, members)
-    n_pairs = len(groups) * (len(groups) - 1) // 2
-    return float(jaccard_sum / n_pairs)
+    return _overlap_deltas(groups)[0]

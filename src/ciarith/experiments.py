@@ -15,10 +15,9 @@ graphs, the sampled paths) varies rep to rep.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -27,10 +26,9 @@ import numpy as np
 from . import baselines
 from .cia import (
     StrataSpec,
+    _overlap_deltas,
     _stratified_threshold_value,
     interval_from_threshold,
-    overlap_delta_avg,
-    overlap_delta_max,
     restrict_groups,
     symmetric_split,
 )
@@ -187,7 +185,8 @@ def load_tabular_csv(
     ``discretize_bins`` to bucket a continuous grouping column into
     equal-frequency bins instead. All remaining columns must be numeric
     and become model features (categorical grouping columns enter as
-    category codes).
+    category codes). Labels and numeric columns must be finite: a ``nan``
+    or ``inf`` token raises ``ValueError`` naming its line and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -211,10 +210,11 @@ def load_tabular_csv(
     labels = np.empty(n)
     for i, row in enumerate(table):
         v = _try_float(row[col_idx[label_column]])
-        if v is None:
+        if v is None or not math.isfinite(v):
             raise ValueError(
                 f"line {i + 2}: label column {label_column!r}: "
-                f"{row[col_idx[label_column]]!r} is not numeric"
+                f"{row[col_idx[label_column]]!r} is not "
+                f"{'numeric' if v is None else 'finite'}"
             )
         labels[i] = v
     sd = float(labels.std())
@@ -233,6 +233,12 @@ def load_tabular_csv(
         raw = [row[col_idx[col]].strip() for row in table]
         parsed = [_try_float(v) for v in raw]
         numeric = all(p is not None for p in parsed)
+        if numeric:  # the column becomes a model feature
+            bad = next((i for i, p in enumerate(parsed) if not math.isfinite(p)), None)
+            if bad is not None:
+                raise ValueError(
+                    f"line {bad + 2}: column {col!r}: {raw[bad]!r} is not finite"
+                )
         if col in grouping_columns:
             if numeric:
                 integral = all(float(p).is_integer() for p in parsed)
@@ -416,12 +422,18 @@ class _Session:
         )
         in_universe = np.zeros(prep.y.size, dtype=bool)
         in_universe[prep.universe] = True
+        ids = np.fromiter(
+            itertools.chain.from_iterable(p.edge_ids for p in paths), dtype=np.int64
+        )
+        # rows are in edge-id order, so a row is its id's rank among the ids
+        all_rows = np.searchsorted(self.graph.edge_ids, ids)
+        ends = np.cumsum([len(p) for p in paths])
         members = []
-        for p in paths:
-            rows = np.unique([self.graph.edge_row(e) for e in p.edge_ids])
+        for rows in np.split(all_rows, ends[:-1]):
+            rows = np.unique(rows)
             rows = rows[in_universe[rows]]
             if rows.size:
-                members.append(rows.astype(np.int64))
+                members.append(rows)
         return members, np.arange(len(members))
 
     def run_rep(self, rep: int):
@@ -465,7 +477,7 @@ class _Session:
                 IndexGroup(group_id=int(g), members=frozenset(m.tolist()))
                 for g, m in zip(group_ids, members)
             ]
-            deltas = (overlap_delta_avg(groups), overlap_delta_max(groups))
+            deltas = _overlap_deltas(groups)
 
         outcomes: dict[tuple[str, float], _RepOutcome | None] = {}
         for alpha in config.alphas:
@@ -598,19 +610,6 @@ class _Session:
         )
 
 
-def _worker_count(reps: int) -> int:
-    env = os.environ.get("CIA_THREADS", "").strip()
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring invalid CIA_THREADS=%r", env)
-            workers = os.cpu_count() or 1
-    else:
-        workers = os.cpu_count() or 1
-    return min(workers, reps)
-
-
 def _aggregate(config, per_rep) -> list[MethodResult]:
     results = []
     for method in config.methods:
@@ -645,26 +644,19 @@ def _aggregate(config, per_rep) -> list[MethodResult]:
 
 
 def _run_session(session: _Session):
-    config = session.config
-    per_rep: list[dict] = [None] * config.reps
-    deltas: list[tuple[float, float] | None] = [None] * config.reps
-
-    def one(rep: int):
+    """Run the reps in order; a graph's cached path trees carry over."""
+    per_rep: list[dict] = []
+    deltas: list[tuple[float, float]] = []
+    for rep in range(session.config.reps):
         try:
-            return session.run_rep(rep)
+            outcomes, d = session.run_rep(rep)
         except ValueError as exc:
             logger.warning("rep %d failed entirely: %s", rep, exc)
-            return {}, None
-
-    workers = _worker_count(config.reps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rep, (outcomes, d) in enumerate(pool.map(one, range(config.reps))):
-                per_rep[rep], deltas[rep] = outcomes, d
-    else:
-        for rep in range(config.reps):
-            per_rep[rep], deltas[rep] = one(rep)
-    return _aggregate(config, per_rep), [d for d in deltas if d is not None]
+            continue
+        per_rep.append(outcomes)
+        if d is not None:
+            deltas.append(d)
+    return _aggregate(session.config, per_rep), deltas
 
 
 def _prepare_tabular(dataset: TabularDataset, groups, config, rep=None) -> _Prep:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +32,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _HEADER_FIXED = ("edge_id", "src", "dst", "cost")
+
+# Memory a graph may spend on cached shortest-path trees (int32 pred_edge
+# arrays of n_nodes entries each); past it the oldest tree is dropped.
+_TREE_CACHE_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,11 @@ class PathGroup:
 
 
 class WeightedGraph:
-    """Immutable directed graph with non-negative edge costs."""
+    """Immutable directed graph with non-negative edge costs.
+
+    The graph caches what it derives from its edges: the CSR adjacency and
+    the shortest-path trees behind :func:`dijkstra`.
+    """
 
     def __init__(self, nodes: Iterable[int], edges: Sequence[Edge]):
         self.node_ids = np.array(sorted(set(int(n) for n in nodes)), dtype=np.int64)
@@ -101,6 +110,11 @@ class WeightedGraph:
             [math.nan if e.label is None else e.label for e in self.edges], dtype=float
         )
         self._csr = None
+        # (read-only copy of the costs, {source position: pred_edge}),
+        # swapped as one object so readers never see a mixed pair
+        self._trees: tuple[np.ndarray | None, OrderedDict[int, np.ndarray]] = (
+            None, OrderedDict()
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -133,6 +147,45 @@ class WeightedGraph:
             np.cumsum(counts, out=indptr[1:])
             self._csr = (indptr, adj_node, adj_edge)
         return self._csr
+
+    def _tree_cache(self, cost: np.ndarray):
+        """(read-only copy of ``cost``, its cached trees by source position).
+
+        ``cost`` is a validated array in edge-row order. Trees are cached
+        for one cost array at a time, so costs that differ from the cached
+        ones drop every tree. Passing the returned copy back skips both the
+        comparison and the validation in :func:`dijkstra`.
+        """
+        entry = self._trees
+        if entry[0] is not None and (cost is entry[0] or np.array_equal(cost, entry[0])):
+            return entry
+        copy = np.array(cost, dtype=float)
+        copy.flags.writeable = False
+        self._trees = (copy, OrderedDict())
+        return self._trees
+
+    def _shortest_path_tree(self, source_pos: int, cost: np.ndarray) -> np.ndarray:
+        """int32 ``pred_edge`` of the full shortest-path tree rooted at
+        ``source_pos`` under ``cost``, cached (see :meth:`_tree_cache`).
+
+        Within :data:`_TREE_CACHE_BYTES` the oldest tree is evicted first.
+        """
+        cost, trees = self._tree_cache(cost)
+        tree = trees.get(source_pos)
+        if tree is None:
+            indptr, adj_node, adj_edge = self.csr()
+            _, _, pred_edge = kernels.dijkstra_arrays(
+                indptr, adj_node, adj_edge, cost, source_pos, -1
+            )
+            tree = pred_edge.astype(np.int32)
+            capacity = max(1, _TREE_CACHE_BYTES // tree.nbytes)
+            while len(trees) >= capacity:
+                try:
+                    trees.popitem(last=False)
+                except KeyError:  # emptied by another thread meanwhile
+                    break
+            trees[source_pos] = tree
+        return tree
 
     def validate_path(self, path: PathGroup) -> None:
         """Check the chaining invariant; raises ValueError when broken."""
@@ -182,15 +235,24 @@ def dijkstra(
     graph's edge order, or None for the stored costs. Distance ties resolve
     toward the smallest (predecessor node, edge) pair, so results are
     reproducible across runs and kernel backends.
+
+    The path is read from the full shortest-path tree rooted at
+    ``source``, which the graph caches for the current costs (see
+    :func:`sample_path_groups`), so later queries from the same source
+    cost only the walk back from ``target``. A node's predecessor is fixed
+    once it is settled, so the path is the one a search stopping at
+    ``target`` would find.
     """
     s = graph.node_position(source)
     t = graph.node_position(target)
-    cost = _cost_array(graph, cost_fn)
+    if cost_fn is not None and cost_fn is graph._trees[0]:
+        cost = cost_fn  # the graph's own copy, validated when it was made
+    else:
+        cost = _cost_array(graph, cost_fn)
     if s == t:
         return PathGroup(source=source, target=target, edge_ids=())
-    indptr, adj_node, adj_edge = graph.csr()
-    dist, _, pred_edge = kernels.dijkstra_arrays(indptr, adj_node, adj_edge, cost, s, t)
-    if not np.isfinite(dist[t]):
+    pred_edge = graph._shortest_path_tree(s, cost)
+    if pred_edge[t] < 0:
         return None
     rows: list[int] = []
     at = t
@@ -219,12 +281,21 @@ def sample_path_groups(
     Pairs whose shortest path is missing or shorter than ``min_path_len``
     edges are skipped. Raises after ``retry_factor * K`` draws reporting
     how many paths were collected.
+
+    Each path is read from the full shortest-path tree rooted at its
+    source (see :func:`dijkstra`), so every distinct source costs one
+    complete search. The trees are cached on the graph for the last cost
+    array used: later calls with equal costs, such as the reps of an
+    experiment, reuse them, and a call with other costs drops them. The
+    costs are validated and compared once per call, not once per draw. A
+    tree takes 4 bytes per node, and the cache keeps at most about 64 MB
+    of them per graph, dropping the oldest first.
     """
     if min_path_len < 1:
         raise ValueError("min_path_len must be >= 1")
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample paths")
-    cost = _cost_array(graph, cost_fn)
+    cost, _ = graph._tree_cache(_cost_array(graph, cost_fn))
     rng = np.random.default_rng(rng_seed)
     budget = retry_factor * K
     out: list[PathGroup] = []
@@ -260,8 +331,18 @@ def _parse_num(token: str, line_no: int, col: str, as_int: bool = False):
         raise ValueError(f"line {line_no}: column {col!r}: {token!r} is not a {kind}") from None
 
 
+def _parse_finite(token: str, line_no: int, col: str) -> float:
+    value = _parse_num(token, line_no, col)
+    if not math.isfinite(value):
+        raise ValueError(f"line {line_no}: column {col!r}: {token!r} is not finite")
+    return value
+
+
 def load_edge_list(path) -> WeightedGraph:
-    """Parse an edge-list CSV; malformed rows are reported with line numbers."""
+    """Parse an edge-list CSV; malformed rows are reported with line numbers.
+
+    Costs must be finite and non-negative, features and labels finite.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -303,14 +384,14 @@ def load_edge_list(path) -> WeightedGraph:
             feats = None
             if feat_cols:
                 feats = tuple(
-                    _parse_num(row[4 + d], line_no, feat_cols[d])
+                    _parse_finite(row[4 + d], line_no, feat_cols[d])
                     for d in range(len(feat_cols))
                 )
             label = None
             if has_label:
                 tok = row[len(header) - 1].strip()
                 if tok:
-                    label = _parse_num(tok, line_no, "label")
+                    label = _parse_finite(tok, line_no, "label")
             edges.append(
                 Edge(edge_id=eid, src=src, dst=dst, cost=cost, features=feats, label=label)
             )

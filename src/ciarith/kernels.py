@@ -14,6 +14,7 @@ node, edge) pair, so both backends return identical arrays.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 
 import numpy as np
@@ -129,14 +130,19 @@ def _dijkstra_numba_impl(indptr, adj_node, adj_edge, cost, source, target):
 
 
 def _dijkstra_py(indptr, adj_node, adj_edge, cost, source, target):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, np.inf)
-    pred_node = np.full(n, -1, np.int64)
-    pred_edge = np.full(n, -1, np.int64)
-    done = np.zeros(n, dtype=bool)
+    # indexing a list from Python is several times cheaper than an array
+    indptr, adj_node, adj_edge, cost = (
+        np.asarray(a).tolist() for a in (indptr, adj_node, adj_edge, cost)
+    )
+    n = len(indptr) - 1
+    dist = [math.inf] * n
+    pred_node = [-1] * n
+    pred_edge = [-1] * n
+    done = [False] * n
 
+    source = int(source)
     dist[source] = 0.0
-    heap = [(0.0, int(source))]
+    heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -145,10 +151,10 @@ def _dijkstra_py(indptr, adj_node, adj_edge, cost, source, target):
         if u == target:
             break
         for p in range(indptr[u], indptr[u + 1]):
-            v = int(adj_node[p])
+            v = adj_node[p]
             if done[v]:
                 continue
-            e = int(adj_edge[p])
+            e = adj_edge[p]
             nd = d + cost[e]
             if nd < dist[v]:
                 dist[v] = nd
@@ -160,7 +166,11 @@ def _dijkstra_py(indptr, adj_node, adj_edge, cost, source, target):
             ):
                 pred_node[v] = u
                 pred_edge[v] = e
-    return dist, pred_node, pred_edge
+    return (
+        np.array(dist, dtype=float),
+        np.array(pred_node, dtype=np.int64),
+        np.array(pred_edge, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +250,15 @@ else:
 
 
 def dijkstra_arrays(indptr, adj_node, adj_edge, cost, source: int, target: int):
-    """Single-pair shortest path over a CSR adjacency.
+    """Shortest paths from ``source`` over a CSR adjacency.
 
     Returns (dist, pred_node, pred_edge); entries are final for every node
-    settled before the target was reached.
+    settled before the target was reached. The search stops when
+    ``target`` is settled; pass ``target=-1`` to run it to completion and
+    get the full shortest-path tree rooted at ``source``. A node's
+    predecessor is fixed once it is settled and the heap order does not
+    depend on the target, so the tree's path to any node equals the
+    single-pair search's path to it.
     """
     return _dijkstra_backend(indptr, adj_node, adj_edge, cost, source, target)
 

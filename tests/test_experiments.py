@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from ciarith.experiments import (
     PathSampling,
     TabularDataset,
     _STREAM_GSAMP,
+    _STREAM_PATHS,
     _STREAM_SPLIT,
+    _Session,
+    _prepare_graph,
     _train_universe,
     build_groups_by_category,
     derive_seed,
@@ -32,8 +36,9 @@ from ciarith.experiments import (
     load_tabular_csv,
     run_experiment,
 )
-from ciarith.graph import Edge, WeightedGraph
+from ciarith.graph import Edge, WeightedGraph, sample_path_groups
 from ciarith.models import fit_arrays, predict_point, predict_quantiles
+from conftest import make_grid_graph
 
 
 class TestBuildGroups:
@@ -102,6 +107,20 @@ class TestLoadTabularCsv:
         p = tmp_path / "d.csv"
         p.write_text("y,g,x\n1,0,0.5\n2,1,bad\n")
         with pytest.raises(ValueError, match="line 3.*'x'"):
+            load_tabular_csv(p, "y", ["g"])
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("y,g,x\n1,0,0.5\nnan,1,0.1\n3,1,0.2\n", "line 3.*'y'.*not finite"),
+            ("y,g,x\n1,0,0.5\n2,1,0.1\n3,1,inf\n", "line 4.*'x'.*not finite"),
+            ("y,g,x\n1,0,0.5\n2,-inf,0.1\n3,1,0.2\n", "line 3.*'g'.*not finite"),
+        ],
+    )
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, text, where):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=where):
             load_tabular_csv(p, "y", ["g"])
 
     def test_constant_labels_zeroed_with_diagnostic(self, tmp_path, caplog):
@@ -240,6 +259,26 @@ class TestRunExperiment:
         cfg = ExperimentConfig(alphas=(0.1,), reps=1, seed=0)
         with pytest.raises(ValueError, match="non-empty group list"):
             run_experiment(ds, [], cfg)
+
+    def test_path_groups_are_universe_rows_of_their_edges(self):
+        # spaced edge ids, so an edge's id and its row differ
+        base = make_grid_graph(5, 3)
+        g = WeightedGraph(
+            nodes=base.node_ids.tolist(),
+            edges=[replace(e, edge_id=3 * e.edge_id + 5) for e in base.edges],
+        )
+        cfg = ExperimentConfig(alphas=(0.1,), reps=1, seed=4)
+        prep = _prepare_graph(g, cfg)
+        spec = PathSampling(n_paths=30, min_path_len=2)
+        session = _Session(cfg, lambda rep: prep, graph=g, path_spec=spec)
+        members, group_ids = session._groups_for_rep(prep, 0)
+        paths = sample_path_groups(g, 30, derive_seed(4, _STREAM_PATHS, 0),
+                                   min_path_len=2, cost_fn=prep.cost)
+        universe = set(prep.universe.tolist())
+        expected = [sorted({g.edge_row(e) for e in p.edge_ids} & universe) for p in paths]
+        expected = [rows for rows in expected if rows]
+        assert [m.tolist() for m in members] == expected
+        assert group_ids.tolist() == list(range(len(expected)))
 
     def test_graph_requires_path_spec(self):
         g = WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0, label=1.0)])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ciarith import graph as graph_module
 from ciarith import kernels
 from ciarith.graph import (
     Edge,
@@ -219,6 +220,130 @@ class TestSamplePathGroups:
         assert ig.members == frozenset(p.edge_ids)
 
 
+def early_exit_path(graph, source, target, cost=None):
+    """Single-pair search that stops once ``target`` is settled."""
+    s, t = graph.node_position(source), graph.node_position(target)
+    if s == t:
+        return PathGroup(source=source, target=target, edge_ids=())
+    cost = graph.costs if cost is None else np.asarray(cost, dtype=float)
+    indptr, adj_node, adj_edge = graph.csr()
+    dist, _, pred_edge = kernels.dijkstra_arrays(indptr, adj_node, adj_edge, cost, s, t)
+    if not np.isfinite(dist[t]):
+        return None
+    rows = []
+    while t != s:
+        rows.append(int(pred_edge[t]))
+        t = int(graph.src_pos[rows[-1]])
+    return PathGroup(source=source, target=target,
+                     edge_ids=tuple(int(graph.edge_ids[r]) for r in reversed(rows)))
+
+
+def naive_sample_paths(graph, K, rng_seed, min_path_len=1, cost=None, retry_factor=100):
+    """sample_path_groups' draw loop with one early-exit search per draw."""
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    n = graph.n_nodes
+    for _ in range(retry_factor * K):
+        if len(out) >= K:
+            break
+        s = int(rng.integers(n))
+        t = int(rng.integers(n - 1))
+        if t >= s:
+            t += 1
+        path = early_exit_path(graph, int(graph.node_ids[s]), int(graph.node_ids[t]), cost)
+        if path is not None and len(path) >= min_path_len:
+            out.append(path)
+    return out
+
+
+def tied_grid(k, rng_seed, node_offset=0):
+    """k x k grid with integer costs in {1, 2}: many equal-cost routes.
+
+    Node and edge ids are offset and spaced so positions and ids differ.
+    """
+    rng = np.random.default_rng(rng_seed)
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            u = r * k + c
+            for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < k and 0 <= cc < k:
+                    edges.append(Edge(3 * len(edges) + 5, node_offset + u,
+                                      node_offset + rr * k + cc,
+                                      float(rng.integers(1, 3))))
+    return WeightedGraph(nodes=range(node_offset, node_offset + k * k), edges=edges)
+
+
+class TestShortestPathTrees:
+    @pytest.mark.parametrize("g, has_unreachable", [
+        (tied_grid(6, 0, node_offset=100), False),
+        (random_graph(np.random.default_rng(64), n_nodes=9, p_edge=0.2), True),
+    ])
+    def test_tree_paths_equal_single_pair_search_for_every_pair(self, g, has_unreachable):
+        unreachable = 0
+        for s, t in itertools.product(g.node_ids.tolist(), repeat=2):
+            expected = early_exit_path(g, s, t)
+            assert dijkstra(g, s, t) == expected
+            unreachable += expected is None
+        assert (unreachable > 0) == has_unreachable
+
+    def test_tree_mode_of_the_kernel_settles_every_reachable_node(self):
+        g = tied_grid(5, 1)
+        indptr, adj_node, adj_edge = g.csr()
+        dist, _, pred_edge = kernels.dijkstra_arrays(indptr, adj_node, adj_edge, g.costs, 7, -1)
+        assert np.all(np.isfinite(dist))
+        assert pred_edge[7] == -1 and np.all(np.delete(pred_edge, 7) >= 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("min_len", [1, 4, 7])
+    def test_sampling_matches_naive_loop(self, seed, min_len):
+        g = tied_grid(6, seed, node_offset=10)
+        custom = np.random.default_rng(seed).uniform(0.0, 3.0, g.n_edges)
+        for cost in (None, custom):
+            got = sample_path_groups(g, K=25, rng_seed=seed, min_path_len=min_len,
+                                     cost_fn=cost)
+            assert got == naive_sample_paths(g, 25, seed, min_len, cost)
+
+    def test_new_costs_never_see_stale_trees(self):
+        g = tied_grid(6, 3)
+        a = np.random.default_rng(5).uniform(0.1, 1.0, g.n_edges)
+        b = a[::-1].copy()
+        first = sample_path_groups(g, K=40, rng_seed=9, cost_fn=a)
+        assert first == naive_sample_paths(g, 40, 9, cost=a)
+        original = a.copy()
+        a[:] = b  # the same array object, now holding other costs
+        second = sample_path_groups(g, K=40, rng_seed=9, cost_fn=a)
+        assert second == naive_sample_paths(g, 40, 9, cost=b)
+        assert second != first
+        assert sample_path_groups(g, K=40, rng_seed=9, cost_fn=original) == first
+
+    def test_cache_budget_evicts_oldest_first(self, monkeypatch):
+        g = tied_grid(6, 4)
+        monkeypatch.setattr(graph_module, "_TREE_CACHE_BYTES", 3 * 4 * g.n_nodes)
+        got = sample_path_groups(g, K=30, rng_seed=2)
+        assert got == naive_sample_paths(g, 30, 2)
+        assert len(g._trees[1]) == 3
+        for s in range(6):
+            g._shortest_path_tree(s, g.costs)
+        assert list(g._trees[1]) == [3, 4, 5]
+
+    def test_costs_are_validated_once_per_call_not_per_draw(self, monkeypatch):
+        g = tied_grid(5, 6)
+        custom = np.random.default_rng(6).uniform(0.1, 1.0, g.n_edges)
+        validations = []
+        validate = graph_module._cost_array
+        monkeypatch.setattr(graph_module, "_cost_array",
+                            lambda *a: validations.append(1) or validate(*a))
+        sample_path_groups(g, K=10, rng_seed=1, cost_fn=custom)
+        assert len(validations) == 1
+        cached, trees = g._trees
+        assert cached is not custom and np.array_equal(cached, custom)
+        assert not cached.flags.writeable
+        again, again_trees = g._tree_cache(custom.copy())
+        assert again is cached and again_trees is trees
+
+
 class TestEdgeListIO:
     def test_small_file_round_trip(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -263,6 +388,17 @@ class TestEdgeListIO:
         path = tmp_path / "bad.csv"
         path.write_text("edge_id,src,dst,cost\n0,1,2,abc\n")
         with pytest.raises(ValueError, match="line 2.*cost"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [("0,1,2,1.0,inf,0.5", "line 2.*'feat_0'.*not finite"),
+         ("0,1,2,1.0,0.3,nan", "line 2.*'label'.*not finite")],
+    )
+    def test_non_finite_feature_or_label_reports_line_and_column(self, tmp_path, row, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"edge_id,src,dst,cost,feat_0,label\n{row}\n")
+        with pytest.raises(ValueError, match=where):
             load_edge_list(path)
 
     def test_bad_header_rejected(self, tmp_path):
