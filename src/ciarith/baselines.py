@@ -5,8 +5,14 @@ groups, normal approximations (pooled variance, and per-sample variances
 from predicted interquartile ranges), and per-sample conformal intervals
 combined with a Bonferroni correction.
 
-Each method has an array-level core (used by the experiment harness) and a
-sample-record wrapper carrying the documented contract.
+Each family has an array-level core that bounds many targets at once
+(:func:`group_sampling_threshold` with
+:func:`~ciarith.cia.interval_from_threshold`, :func:`normal_interval`,
+:func:`bonferroni_interval`); the experiment harness calls the cores
+directly. The ``*_predict`` functions are thin adapters over them: they
+gather the columns of :class:`LabeledSample` records once per call, run
+the core for one target and wrap the result in an
+:class:`IntervalPrediction`.
 """
 
 from __future__ import annotations
@@ -14,12 +20,21 @@ from __future__ import annotations
 import logging
 import math
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cia import interval_from_threshold
-from .core import IntervalPrediction, LabeledSample, score_threshold
+from . import scoring
+from .cia import _prediction, interval_from_threshold
+from .core import (
+    IntervalPrediction,
+    LabeledSample,
+    checked_bounds,
+    collapse_crossed,
+    extract_column,
+    per_group,
+    score_threshold,
+)
 
 __all__ = [
     "group_sampling_predict",
@@ -30,8 +45,7 @@ __all__ = [
     "pooled_residual_sigma",
     "normal_interval",
     "iqr_sigma",
-    "per_sample_split_scores",
-    "per_sample_cqr_scores",
+    "sum_of_squares",
     "bonferroni_interval",
     "IQR_TO_SD",
 ]
@@ -41,19 +55,6 @@ logger = logging.getLogger(__name__)
 _NORMAL = NormalDist()
 # z_{0.75} - z_{0.25}: converts an interquartile range to a normal sigma
 IQR_TO_SD = _NORMAL.inv_cdf(0.75) - _NORMAL.inv_cdf(0.25)
-
-
-def _columns(samples: Sequence[LabeledSample], *flds: str) -> list[np.ndarray]:
-    cols = []
-    for f in flds:
-        vals = []
-        for s in samples:
-            v = getattr(s, f)
-            if v is None:
-                raise ValueError(f"sample {s.index} has no {f}")
-            vals.append(v)
-        cols.append(np.asarray(vals, dtype=float))
-    return cols
 
 
 def _point_interval(group_id: int, alpha: float) -> IntervalPrediction:
@@ -66,7 +67,7 @@ def _point_interval(group_id: int, alpha: float) -> IntervalPrediction:
 
 
 def group_sampling_threshold(
-    cols: tuple[np.ndarray, ...],
+    cols: Sequence[np.ndarray],
     m: int,
     alpha: float,
     score_kind: str,
@@ -80,6 +81,7 @@ def group_sampling_threshold(
     larger request is reduced with a diagnostic since groups are drawn
     without replacement.
     """
+    score, _ = scoring.score_kind(score_kind)
     n_cal = cols[0].size
     max_k = n_cal // m
     if max_k == 0:
@@ -94,17 +96,7 @@ def group_sampling_threshold(
     elif K < 1:
         raise ValueError("K must be at least 1")
     chunks = rng.permutation(n_cal)[: K * m].reshape(K, m)
-    if score_kind == "split":
-        y, pred = cols
-        scores = np.abs((y[chunks] - pred[chunks]).sum(axis=1))
-    elif score_kind == "cqr":
-        y, lo, hi = cols
-        scores = np.maximum(
-            (lo[chunks] - y[chunks]).sum(axis=1), (y[chunks] - hi[chunks]).sum(axis=1)
-        )
-    else:
-        raise ValueError(f"unknown score kind {score_kind!r}")
-    return score_threshold(scores, alpha).value
+    return score_threshold(score(*(c[chunks] for c in cols)), alpha).value
 
 
 def group_sampling_predict(
@@ -127,19 +119,11 @@ def group_sampling_predict(
     m = len(target_test_samples)
     if m == 0:
         return _point_interval(group_id, alpha)
-    rng = np.random.default_rng(rng_seed)
-    if score_kind == "split":
-        cols = tuple(_columns(cal_samples, "label", "point_pred"))
-        (pred,) = _columns(target_test_samples, "point_pred")
-        sums = {"pred_sum": float(pred.sum())}
-    else:
-        cols = tuple(_columns(cal_samples, "label", "quant_lo", "quant_hi"))
-        lo, hi = _columns(target_test_samples, "quant_lo", "quant_hi")
-        sums = {"lo_sum": float(lo.sum()), "hi_sum": float(hi.sum())}
-    q_value = group_sampling_threshold(cols, m, alpha, score_kind, K, rng)
-    return interval_from_threshold(
-        group_id, alpha, q_value, score_kind=score_kind, **sums
-    )
+    _, fields = scoring.score_kind(score_kind)
+    cols = extract_column(cal_samples, *fields)
+    sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
+    q = group_sampling_threshold(cols, m, alpha, score_kind, K, np.random.default_rng(rng_seed))
+    return _prediction(group_id, alpha, *interval_from_threshold(q, score_kind, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +140,11 @@ def pooled_residual_sigma(y: np.ndarray, pred: np.ndarray) -> float:
     return math.sqrt(float(np.sum((pred - y) ** 2)) / (y.size - 1))
 
 
-def normal_interval(
-    center: float, spread: float, alpha: float, group_id: int = -1
-) -> IntervalPrediction:
-    """center + [z_{alpha/2}, z_{1-alpha/2}] * spread."""
-    return IntervalPrediction(
-        group_id=group_id,
-        lower=center + _NORMAL.inv_cdf(alpha / 2) * spread,
-        upper=center + _NORMAL.inv_cdf(1 - alpha / 2) * spread,
-        alpha=alpha,
+def normal_interval(center, spread, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """center + [z_{alpha/2}, z_{1-alpha/2}] * spread, per target."""
+    return checked_bounds(
+        center + _NORMAL.inv_cdf(alpha / 2) * spread,
+        center + _NORMAL.inv_cdf(1 - alpha / 2) * spread,
     )
 
 
@@ -180,6 +160,11 @@ def iqr_sigma(q25, q75) -> np.ndarray:
     return iqr / IQR_TO_SD
 
 
+def sum_of_squares(sigma: np.ndarray) -> np.ndarray:
+    """Summed per-sample variances over the last axis."""
+    return np.sum(sigma**2, axis=-1)
+
+
 def normal_homoscedastic_predict(
     cal_samples: Sequence[LabeledSample],
     target_test_samples: Sequence[LabeledSample],
@@ -192,15 +177,12 @@ def normal_homoscedastic_predict(
     Valid only when residuals really are i.i.d. zero-mean normal; heavy
     tails or model misspecification typically push coverage below target.
     """
-    y, pred = _columns(cal_samples, "label", "point_pred")
-    sigma = pooled_residual_sigma(y, pred)
+    sigma = pooled_residual_sigma(*extract_column(cal_samples, "label", "point_pred"))
     m = len(target_test_samples)
     if m == 0:
         return _point_interval(group_id, alpha)
-    (test_pred,) = _columns(target_test_samples, "point_pred")
-    return normal_interval(
-        float(test_pred.sum()), math.sqrt(m) * sigma, alpha, group_id
-    )
+    center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
+    return _prediction(group_id, alpha, *normal_interval(center, np.sqrt([m]) * sigma, alpha))
 
 
 def normal_hetero_iqr_predict(
@@ -220,10 +202,9 @@ def normal_hetero_iqr_predict(
     if m == 0:
         return _point_interval(group_id, alpha)
     quarts = np.array([quantile_predictor(s) for s in target_test_samples], dtype=float)
-    sigmas = iqr_sigma(quarts[:, 0], quarts[:, 1])
-    (test_pred,) = _columns(target_test_samples, "point_pred")
-    spread = math.sqrt(float(np.sum(sigmas**2)))
-    return normal_interval(float(test_pred.sum()), spread, alpha, group_id)
+    spread = np.sqrt(sum_of_squares(iqr_sigma(quarts[:, 0], quarts[:, 1])[None]))
+    center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
+    return _prediction(group_id, alpha, *normal_interval(center, spread, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -231,36 +212,27 @@ def normal_hetero_iqr_predict(
 # ---------------------------------------------------------------------------
 
 
-def per_sample_split_scores(y: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    return np.abs(np.asarray(y, dtype=float) - np.asarray(pred, dtype=float))
-
-
-def per_sample_cqr_scores(y, lo, hi) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return np.maximum(np.asarray(lo, dtype=float) - y, y - np.asarray(hi, dtype=float))
-
-
 def bonferroni_interval(
-    q_value: float,
-    test_cols: tuple[np.ndarray, ...],
-    alpha: float,
+    q_by_size: Mapping[int, float],
+    test: tuple[np.ndarray, np.ndarray],
+    test_cols: Sequence[np.ndarray],
     score_kind: str,
-    group_id: int = -1,
-) -> IntervalPrediction:
-    """Sum the per-sample intervals [c_i - q, c_i + q] (or band versions)."""
-    if score_kind == "split":
-        (pred,) = test_cols
-        lower = float(np.sum(pred - q_value))
-        upper = float(np.sum(pred + q_value))
-    elif score_kind == "cqr":
-        lo, hi = test_cols
-        lower = float(np.sum(lo - q_value))
-        upper = float(np.sum(hi + q_value))
-        if lower > upper:  # bands invert under a strongly negative threshold
-            lower = upper = 0.5 * (lower + upper)
-    else:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the per-sample intervals [c_i - q, c_i + q] (or band versions).
+
+    ``test`` is the CSR (offsets, members) of the targets' test sides over
+    the rows of ``test_cols``: (point_pred,) for the split kind, (quant_lo,
+    quant_hi) for the quantile kind. A target of test size m uses the
+    threshold ``q_by_size[m]``, so each size class shares one.
+    """
+    if score_kind not in ("split", "cqr"):
         raise ValueError(f"unknown score kind {score_kind!r}")
-    return IntervalPrediction(group_id=group_id, lower=lower, upper=upper, alpha=alpha)
+    lo, hi = test_cols[0], test_cols[-1]
+    lower = per_group(lambda c: np.sum(c - q_by_size[c.shape[-1]], axis=-1), *test, lo)
+    upper = per_group(lambda c: np.sum(c + q_by_size[c.shape[-1]], axis=-1), *test, hi)
+    if score_kind == "cqr":  # bands invert under a strongly negative threshold
+        lower, upper = collapse_crossed(lower, upper)
+    return checked_bounds(lower, upper)
 
 
 def bonferroni_predict(
@@ -280,15 +252,10 @@ def bonferroni_predict(
     m = len(target_test_samples)
     if m == 0:
         return _point_interval(group_id, alpha)
-    level = alpha / m
-    if score_kind == "split":
-        y, pred = _columns(cal_samples, "label", "point_pred")
-        q_value = score_threshold(per_sample_split_scores(y, pred), level).value
-        test_cols = tuple(_columns(target_test_samples, "point_pred"))
-    elif score_kind == "cqr":
-        y, lo, hi = _columns(cal_samples, "label", "quant_lo", "quant_hi")
-        q_value = score_threshold(per_sample_cqr_scores(y, lo, hi), level).value
-        test_cols = tuple(_columns(target_test_samples, "quant_lo", "quant_hi"))
-    else:
-        raise ValueError(f"unknown score kind {score_kind!r}")
-    return bonferroni_interval(q_value, test_cols, alpha, score_kind, group_id)
+    score, fields = scoring.score_kind(score_kind)
+    per_sample = score(*extract_column(cal_samples, *fields)[:, :, None])
+    q = {m: score_threshold(per_sample, alpha / m).value}
+    test_cols = extract_column(target_test_samples, *fields[1:])
+    one_group = (np.array([0, m]), np.arange(m))
+    bounds = bonferroni_interval(q, one_group, test_cols, score_kind)
+    return _prediction(group_id, alpha, *bounds)

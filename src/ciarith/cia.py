@@ -1,36 +1,46 @@
 """Prediction intervals for group label sums via symmetric calibration.
 
-The engine splits the held-out indices into calibration and test sides,
+The method splits the held-out indices into calibration and test sides,
 scores every group on its calibration side, and turns the score pool into
-an interval for the target group's unknown test-side sum. The target's own
+an interval for a target group's unknown test-side sum. The target's own
 calibration score never enters the pool: the validity argument swaps the
 target's two sides and needs the pool to be unaffected by that swap.
 
 Stratified prediction restricts the pool to groups whose calibration-side
 size falls in the same size bucket as the target's test-side size, merging
 adjacent buckets when a bucket is too thin to calibrate on.
+
+The module has two layers. The array engine (:func:`interval_from_threshold`,
+:func:`stratified_thresholds`, with the leave-one-out thresholds of
+:mod:`ciarith.core`) computes the bounds of every target of a split at
+once; the experiment harness calls it directly. The record adapters
+(:func:`cia_predict`, :func:`stratified_cia_predict`) gather the columns
+of :class:`LabeledSample` records once per call, run the engine for one
+target, and wrap the result in an :class:`IntervalPrediction`.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, scoring
 from .core import (
     IndexGroup,
     IntervalPrediction,
     LabeledSample,
     SplitAssignment,
-    Threshold,
+    checked_bounds,
+    collapse_crossed,
     extract_column,
-    score_threshold,
+    group_csr,
+    loo_thresholds,
+    per_group,
+    samples_at,
 )
-from .scoring import cqr_score, split_score
 
 __all__ = [
     "GroupSplitView",
@@ -40,13 +50,13 @@ __all__ = [
     "restrict_groups",
     "cia_predict",
     "stratified_cia_predict",
+    "interval_from_threshold",
+    "stratified_thresholds",
     "overlap_delta_max",
     "overlap_delta_avg",
 ]
 
 logger = logging.getLogger(__name__)
-
-SCORE_KINDS = ("split", "cqr")
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,7 @@ class StrataSpec:
     def bucket_index(self, size: int) -> int:
         if size < 1:
             raise ValueError(f"no bucket covers size {size}")
-        for j, (lo, hi) in enumerate(self.buckets):
-            if size >= lo and (hi is None or size <= hi):
-                return j
-        raise ValueError(f"no bucket covers size {size}")  # pragma: no cover
+        return int(self.bucket_index_array(size))
 
     def bucket_index_array(self, sizes) -> np.ndarray:
         """Vector bucket lookup.
@@ -263,73 +270,90 @@ def restrict_groups(
 
 
 # ---------------------------------------------------------------------------
-# Score pools and intervals
+# The array engine: thresholds and intervals for many targets at once
 # ---------------------------------------------------------------------------
 
 
-def _view_score(
-    view: GroupSplitView, samples: Mapping[int, LabeledSample], score_kind: str
-) -> float:
+def interval_from_threshold(q, score_kind: str, sums) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of each target from its threshold and test-side sums.
+
+    ``sums`` is (pred,) for the split kind and (lo, hi) for the quantile
+    kind, one entry per target. A strongly negative quantile-band threshold
+    can cross the band endpoints (an empty prediction set); the interval
+    then collapses to the zero-width midpoint.
+    """
     if score_kind == "split":
-        y = extract_column(samples, view.cal_members, "label")
-        y_hat = extract_column(samples, view.cal_members, "point_pred")
-        return split_score(y, y_hat)
+        (pred,) = sums
+        return checked_bounds(pred - q, pred + q)
     if score_kind == "cqr":
-        y = extract_column(samples, view.cal_members, "label")
-        q_lo = extract_column(samples, view.cal_members, "quant_lo")
-        q_hi = extract_column(samples, view.cal_members, "quant_hi")
-        return cqr_score(y, q_lo, q_hi)
+        lo, hi = sums
+        return checked_bounds(*collapse_crossed(lo - q, hi + q))
     raise ValueError(f"unknown score kind {score_kind!r}")
 
 
-def interval_from_threshold(
-    group_id: int,
-    alpha: float,
-    q_value: float,
-    *,
-    score_kind: str,
-    pred_sum: float = 0.0,
-    lo_sum: float = 0.0,
-    hi_sum: float = 0.0,
-) -> IntervalPrediction:
-    """Build the interval for a target given its threshold and test sums.
+def stratified_thresholds(
+    scores, cal_sizes, test_sizes, leave_out, strata: StrataSpec, alpha: float
+) -> np.ndarray:
+    """Threshold of each target from the size-compatible part of the pool.
 
-    A strongly negative quantile-band threshold can cross the band endpoints
-    (an empty prediction set); the interval then collapses to the zero-width
-    midpoint, preserving both width and the near-certain miss.
+    ``scores`` and ``cal_sizes`` cover the pool's groups. Target i has
+    test-side size ``test_sizes[i]`` and is pool group ``leave_out[i]``,
+    whose own score is left out; a negative entry means the target is not
+    in the pool. Leaving a target out lowers the count of its own
+    calibration bucket by one, so its merged bucket range depends only on
+    (bucket of its test size, bucket of its calibration size): targets are
+    grouped by that pair and each pair's pool is sorted once.
     """
-    if score_kind == "split":
-        lower, upper = pred_sum - q_value, pred_sum + q_value
-    elif score_kind == "cqr":
-        lower, upper = lo_sum - q_value, hi_sum + q_value
-        if lower > upper:
-            mid = 0.5 * (lower + upper)
-            logger.debug("group %d: empty quantile-band interval collapsed", group_id)
-            lower = upper = mid
-    else:
-        raise ValueError(f"unknown score kind {score_kind!r}")
-    return IntervalPrediction(group_id=group_id, lower=lower, upper=upper, alpha=alpha)
+    test_sizes = np.asarray(test_sizes, dtype=np.int64)
+    leave_out = np.asarray(leave_out, dtype=np.int64)
+    if np.any(test_sizes < 1):
+        raise ValueError("stratified prediction needs a non-empty test side")
+    buckets = strata.bucket_index_array(cal_sizes)
+    counts = np.bincount(buckets, minlength=len(strata.buckets))
+    test_b = strata.bucket_index_array(test_sizes)
+    own_b = np.full(leave_out.size, -1)
+    own = leave_out >= 0
+    own_b[own] = buckets[leave_out[own]]
+    q = np.empty(leave_out.size)
+    for j, b in set(zip(test_b.tolist(), own_b.tolist())):
+        without_target = counts.copy()
+        if b >= 0:
+            without_target[b] -= 1
+        lo, hi = strata.merged_range(without_target, j)
+        pool = np.flatnonzero((buckets >= lo) & (buckets <= hi))
+        sel = (test_b == j) & (own_b == b)
+        pos = np.full(int(sel.sum()), -1)
+        if lo <= b <= hi:  # these targets sit in their own pool: leave each out
+            pos = np.searchsorted(pool, leave_out[sel])
+        q[sel] = loo_thresholds(scores[pool], alpha, pos)
+    return q
 
 
-def _target_view(views: Sequence[GroupSplitView], target_group: int) -> GroupSplitView:
-    for v in views:
-        if v.group_id == target_group:
-            return v
-    raise ValueError(f"target group {target_group} not found among views")
+# ---------------------------------------------------------------------------
+# Record adapters
+# ---------------------------------------------------------------------------
 
 
-def _test_sums(
-    view: GroupSplitView, samples: Mapping[int, LabeledSample], score_kind: str
-) -> dict[str, float]:
-    if score_kind == "split":
-        pred = extract_column(samples, view.test_members, "point_pred")
-        return {"pred_sum": float(pred.sum()) if pred.size else 0.0}
-    lo = extract_column(samples, view.test_members, "quant_lo")
-    hi = extract_column(samples, view.test_members, "quant_hi")
-    return {
-        "lo_sum": float(lo.sum()) if lo.size else 0.0,
-        "hi_sum": float(hi.sum()) if hi.size else 0.0,
-    }
+def _record_pool(views, samples, target_group, score_kind):
+    """The target's view, the other views, their calibration scores, and
+    the target's test-side sums as the rows of a (fields x 1) array."""
+    target = next((v for v in views if v.group_id == target_group), None)
+    if target is None:
+        raise ValueError(f"target group {target_group} not found among views")
+    others = [v for v in views if v.group_id != target_group]
+    score, fields = scoring.score_kind(score_kind)
+    offsets, members = group_csr(v.cal_members for v in others)
+    cols = extract_column(samples_at(samples, members.tolist()), *fields)
+    scores = per_group(score, offsets, np.arange(members.size), *cols)
+    test = extract_column(samples_at(samples, target.test_members), *fields[1:])
+    return target, others, scores, test.sum(axis=-1, keepdims=True)
+
+
+def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:
+    """The record API's interval from one-element bound arrays."""
+    return IntervalPrediction(
+        group_id=group_id, lower=float(lower[0]), upper=float(upper[0]), alpha=alpha
+    )
 
 
 def cia_predict(
@@ -346,15 +370,9 @@ def cia_predict(
     ``split`` kind the interval is the predicted test sum plus/minus the
     threshold; with ``cqr`` the threshold pads the summed quantile band.
     """
-    target = _target_view(views, target_group)
-    pool = np.array(
-        [_view_score(v, samples, score_kind) for v in views if v.group_id != target_group]
-    )
-    thr = score_threshold(pool, alpha)
-    return interval_from_threshold(
-        target_group, alpha, thr.value, score_kind=score_kind,
-        **_test_sums(target, samples, score_kind),
-    )
+    _, _, scores, sums = _record_pool(views, samples, target_group, score_kind)
+    q = loo_thresholds(scores, alpha, [-1])
+    return _prediction(target_group, alpha, *interval_from_threshold(q, score_kind, sums))
 
 
 def stratified_cia_predict(
@@ -373,36 +391,12 @@ def stratified_cia_predict(
     side pool with the smallest-size bucket (score 0, as in the
     unstratified engine).
     """
-    target = _target_view(views, target_group)
-    others = [v for v in views if v.group_id != target_group]
+    target, others, scores, sums = _record_pool(views, samples, target_group, score_kind)
+    cal_sizes = [v.cal_size for v in others]
     if strata is None:
-        strata = StrataSpec.from_cal_sizes([v.cal_size for v in others])
-    scores = np.array([_view_score(v, samples, score_kind) for v in others])
-    cal_sizes = np.array([v.cal_size for v in others], dtype=int)
-    q_value = _stratified_threshold_value(
-        scores, cal_sizes, target.test_size, strata, alpha
-    )
-    return interval_from_threshold(
-        target_group, alpha, q_value, score_kind=score_kind,
-        **_test_sums(target, samples, score_kind),
-    )
-
-
-def _stratified_threshold_value(
-    scores: np.ndarray,
-    cal_sizes: np.ndarray,
-    target_test_size: int,
-    strata: StrataSpec,
-    alpha: float,
-) -> float:
-    if target_test_size < 1:
-        raise ValueError("stratified prediction needs a non-empty test side")
-    buckets = strata.bucket_index_array(cal_sizes)
-    j = strata.bucket_index(target_test_size)
-    counts = np.bincount(buckets, minlength=len(strata.buckets))
-    lo_b, hi_b = strata.merged_range(counts, j)
-    pool = scores[(buckets >= lo_b) & (buckets <= hi_b)]
-    return score_threshold(pool, alpha).value
+        strata = StrataSpec.from_cal_sizes(cal_sizes)
+    q = stratified_thresholds(scores, cal_sizes, [target.test_size], [-1], strata, alpha)
+    return _prediction(target_group, alpha, *interval_from_threshold(q, score_kind, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -410,33 +404,21 @@ def _stratified_threshold_value(
 # ---------------------------------------------------------------------------
 
 
-def _group_arrays(groups: Sequence[IndexGroup]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-    chunks = []
-    for i, g in enumerate(groups):
-        m = np.array(sorted(g.members), dtype=np.int64)
-        chunks.append(m)
-        offsets[i + 1] = offsets[i] + m.size
-    members = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return offsets, members
-
-
-def _overlap_deltas(groups: Sequence[IndexGroup]) -> tuple[float, float]:
-    """(delta_avg, delta_max) from one pass of the pairwise overlap kernel."""
-    if len(groups) < 2:
+def _overlap_deltas(offsets: np.ndarray, members: np.ndarray) -> tuple[float, float]:
+    """(delta_avg, delta_max) of CSR groups from one pass of the overlap kernel."""
+    n = offsets.size - 1
+    if n < 2:
         raise ValueError("need at least two groups")
-    offsets, members = _group_arrays(groups)
     counts, jaccard_sum = kernels.pairwise_overlap_stats(offsets, members)
-    n_pairs = len(groups) * (len(groups) - 1) // 2
-    return float(jaccard_sum / n_pairs), float(np.max(counts) / len(groups))
+    return float(jaccard_sum / (n * (n - 1) // 2)), float(np.max(counts) / n)
 
 
 def overlap_delta_max(groups: Sequence[IndexGroup]) -> float:
     """Worst-case overlap: max over groups of the fraction of all groups
     (including itself in the denominator) that intersect it."""
-    return _overlap_deltas(groups)[1]
+    return _overlap_deltas(*group_csr(sorted(g.members) for g in groups))[1]
 
 
 def overlap_delta_avg(groups: Sequence[IndexGroup]) -> float:
     """Mean pairwise Jaccard similarity over unordered group pairs."""
-    return _overlap_deltas(groups)[0]
+    return _overlap_deltas(*group_csr(sorted(g.members) for g in groups))[0]

@@ -9,7 +9,7 @@ The types here are immutable value objects shared by all other modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -18,12 +18,12 @@ __all__ = [
     "LabeledSample",
     "IndexGroup",
     "SplitAssignment",
-    "GroupScore",
     "Threshold",
     "IntervalPrediction",
     "SampleSet",
     "conformal_quantile",
     "score_threshold",
+    "loo_thresholds",
     "group_sum",
 ]
 
@@ -100,21 +100,6 @@ class SplitAssignment:
 
 
 @dataclass(frozen=True)
-class GroupScore:
-    """A group's calibration score together with its calibration-side size."""
-
-    group_id: int
-    score: float
-    cal_size: int
-
-    def __post_init__(self):
-        if not self.score >= 0.0:
-            raise ValueError(f"group {self.group_id}: score {self.score} is negative")
-        if self.cal_size < 0:
-            raise ValueError(f"group {self.group_id}: negative cal_size")
-
-
-@dataclass(frozen=True)
 class Threshold:
     """A conformal score threshold: the k-th smallest of n calibration scores.
 
@@ -186,32 +171,51 @@ class SampleSet:
         return iter(self._by_index.values())
 
     def subset(self, indices: Iterable[int]) -> list[LabeledSample]:
-        return [self._by_index[i] for i in indices]
+        return samples_at(self._by_index, indices)
 
     def column(self, indices: Iterable[int], fld: str) -> np.ndarray:
         """Extract one field over ``indices`` as a float array.
 
         Raises ValueError if the field is missing on any requested sample.
         """
-        return extract_column(self._by_index, indices, fld)
+        return extract_column(self.subset(indices), fld)[0]
 
 
-def extract_column(
-    samples: Mapping[int, LabeledSample], indices: Iterable[int], fld: str
-) -> np.ndarray:
-    if fld not in _SUM_FIELDS:
-        raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
-    out = []
-    for i in indices:
-        try:
-            s = samples[i]
-        except KeyError:
-            raise ValueError(f"unknown sample index {i}") from None
-        v = getattr(s, fld)
-        if v is None:
-            raise ValueError(f"sample {i} has no {fld}")
-        out.append(v)
-    return np.asarray(out, dtype=float)
+def samples_at(
+    samples: Mapping[int, LabeledSample], indices: Iterable[int]
+) -> list[LabeledSample]:
+    """The samples at ``indices``, in order; an unknown index is a ValueError."""
+    try:
+        return [samples[i] for i in indices]
+    except KeyError as exc:
+        raise ValueError(f"unknown sample index {exc.args[0]}") from None
+
+
+def extract_column(samples: Sequence[LabeledSample], *flds: str) -> np.ndarray:
+    """Fields ``flds`` of ``samples`` as the rows of a (len(flds), n) float array.
+
+    Raises ValueError for an unknown field or a sample missing a field.
+    """
+    out = np.empty((len(flds), len(samples)))
+    for row, fld in zip(out, flds):
+        if fld not in _SUM_FIELDS:
+            raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
+        vals = [getattr(s, fld) for s in samples]
+        if None in vals:
+            raise ValueError(f"sample {samples[vals.index(None)].index} has no {fld}")
+        row[:] = vals
+    return out
+
+
+def _checked_scores(scores, alpha: float) -> np.ndarray:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("scores must be one-dimensional")
+    if s.size and not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
+    return s
 
 
 def score_threshold(scores, alpha: float) -> Threshold:
@@ -220,19 +224,36 @@ def score_threshold(scores, alpha: float) -> Threshold:
     Accepts signed scores (quantile-regression scores may be negative).
     Use :func:`conformal_quantile` when scores are known non-negative.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("scores must be one-dimensional")
-    if s.size and not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+    s = _checked_scores(scores, alpha)
     n = s.size
     k = _ceil_rank(n, alpha)
     if k > n:
         return Threshold(math.inf, alpha, n)
     value = float(np.partition(s, k - 1)[k - 1])
     return Threshold(value, alpha, n)
+
+
+def loo_thresholds(scores, alpha: float, leave_out) -> np.ndarray:
+    """The threshold of ``scores`` without entry t, for each t in
+    ``leave_out``, from one stable sort; a negative t removes nothing.
+
+    With t removed from a pool of G scores, k = ceil(G * (1 - alpha)) and
+    the k-th smallest survivor sits at sorted position k - 1 when t ranks
+    at or after k, else at position k (the order-statistic trick of
+    jackknife+). The +inf sentinel appended to the sorted scores is picked
+    exactly when k exceeds the pool size.
+    """
+    s = _checked_scores(scores, alpha)
+    order = np.argsort(s, kind="stable")
+    srt = np.append(s[order], math.inf)
+    pos = np.empty(s.size, dtype=np.int64)
+    pos[order] = np.arange(s.size)
+    t = np.asarray(leave_out, dtype=np.int64)
+    own = t >= 0
+    k = np.where(own, _ceil_rank(s.size - 1, alpha), _ceil_rank(s.size, alpha))
+    below = np.zeros(t.shape, dtype=bool)
+    below[own] = pos[t[own]] < k[own]
+    return srt[k - 1 + below]
 
 
 def conformal_quantile(scores, alpha: float) -> Threshold:
@@ -250,12 +271,69 @@ def conformal_quantile(scores, alpha: float) -> Threshold:
 
 def group_sum(samples: Sequence[LabeledSample], fld: str) -> float:
     """Sum one field over a list of samples; the empty sum is 0.0."""
-    if fld not in _SUM_FIELDS:
-        raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
-    vals = []
-    for s in samples:
-        v = getattr(s, fld)
-        if v is None:
-            raise ValueError(f"sample {s.index} has no {fld}")
-        vals.append(v)
-    return float(np.asarray(vals, dtype=float).sum()) if vals else 0.0
+    return float(extract_column(samples, fld)[0].sum())
+
+
+# ---------------------------------------------------------------------------
+# Groups as arrays: CSR offsets into a flat member array
+# ---------------------------------------------------------------------------
+
+
+def group_csr(member_lists: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, members): group g's members are members[offsets[g]:offsets[g + 1]]."""
+    chunks = [np.asarray(m, dtype=np.int64) for m in member_lists]
+    members = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return csr_offsets([c.size for c in chunks]), members
+
+
+def csr_offsets(sizes) -> np.ndarray:
+    """CSR offsets of groups with the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def per_group(reduce, offsets: np.ndarray, members: np.ndarray, *cols) -> np.ndarray:
+    """``reduce`` applied to every group's gathered member values.
+
+    Groups are taken one size class at a time: each column is gathered
+    into a (groups x size) array and ``reduce`` maps those arrays to one
+    value per row (a size-0 class gets empty rows). Row sums taken this
+    way equal each group's own ``np.sum`` bit for bit, which
+    ``np.bincount`` and ``np.add.reduceat`` do not: they add in another
+    order.
+    """
+    sizes = np.diff(offsets)
+    out = np.empty(sizes.size)
+    for m in np.unique(sizes):
+        idx = np.flatnonzero(sizes == m)
+        rows = members[offsets[idx, None] + np.arange(m)]
+        out[idx] = reduce(*(c[rows] for c in cols))
+    return out
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    return np.sum(x, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Intervals as (lower, upper) arrays
+# ---------------------------------------------------------------------------
+
+
+def collapse_crossed(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a band padded by a negative threshold crosses (lower > upper),
+    both bounds become the midpoint: an empty prediction set keeps its
+    zero width and its near-certain miss."""
+    crossed = lower > upper
+    lower, upper = lower.copy(), upper.copy()
+    lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
+    return lower, upper
+
+
+def checked_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds as given; ValueError where lower <= upper fails, NaN included,
+    as :class:`IntervalPrediction` would raise."""
+    bad = np.flatnonzero(~(lower <= upper))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"target {t}: lower {lower[t]} exceeds upper {upper[t]}")
+    return lower, upper

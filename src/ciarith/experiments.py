@@ -3,13 +3,16 @@
 Two applications share one rep loop: category-average prediction on
 tabular data (fixed disjoint groups) and path-cost prediction on road
 networks (per-rep sampled shortest-path groups, generally overlapping).
-Each rep re-splits the held-out indices, predicts every group's unknown
-test-side sum with every enabled method, and records coverage and width;
-aggregation is mean/std over reps.
+Groups travel as CSR arrays (offsets, members). Each rep re-splits the
+held-out indices, then calls the array engine of :mod:`ciarith.cia` and
+:mod:`ciarith.baselines` once per method and level, which bounds every
+target group's unknown test-side sum at once; the record-level
+``*_predict`` functions are adapters over the same engine. Coverage and
+width are aggregated as mean/std over reps.
 
-Training data is carved out once per experiment seed; predictions are
-therefore fixed across reps and only the calibration/test split (and, for
-graphs, the sampled paths) varies rep to rep.
+The model is fitted once per experiment; predictions are therefore fixed
+across reps and only the calibration/test split (and, for graphs, the
+sampled paths) varies rep to rep.
 """
 
 from __future__ import annotations
@@ -23,16 +26,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import baselines
+from . import baselines, scoring
 from .cia import (
     StrataSpec,
     _overlap_deltas,
-    _stratified_threshold_value,
     interval_from_threshold,
     restrict_groups,
+    stratified_thresholds,
     symmetric_split,
 )
-from .core import IndexGroup, IntervalPrediction, score_threshold
+from .core import (
+    IndexGroup,
+    csr_offsets,
+    group_csr,
+    loo_thresholds,
+    per_group,
+    row_sum,
+    score_threshold,
+)
 from .graph import WeightedGraph, sample_path_groups
 from .models import fit_arrays, predict_point, predict_quantiles
 
@@ -88,11 +99,8 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHOD_IDS
     train_frac: float = 0.7
     split_mode: str = "balanced"
-    refit_train_each_rep: bool = False
     point_model: str = "linear_ls"
     knn_k: int | None = None
-    strata_buckets: int = 4
-    strata_min_count: int = 20
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -158,6 +166,23 @@ class TabularDataset:
     labels: np.ndarray
     group_values: dict[str, tuple] = field(default_factory=dict)
     feature_names: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels, dtype=float)
+        features = np.asarray(self.features, dtype=float)
+        if labels.ndim != 1 or features.ndim != 2 or features.shape[0] != labels.size:
+            raise ValueError(
+                f"features of shape {features.shape} do not match labels of shape "
+                f"{labels.shape}: need an (n, d) matrix and n labels"
+            )
+        bad = np.flatnonzero(~np.isfinite(labels))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: label {labels[bad[0]]} is not finite")
+        rows, cols = np.nonzero(~np.isfinite(features))
+        if rows.size:
+            r, c = int(rows[0]), int(cols[0])
+            name = self.feature_names[c] if c < len(self.feature_names) else c
+            raise ValueError(f"row {r}, feature {name!r}: {features[r, c]} is not finite")
 
     @property
     def n_rows(self) -> int:
@@ -346,8 +371,7 @@ class _Prep:
     y_hat: np.ndarray  # predictions on the universe (nan elsewhere)
     quant: dict[float, tuple[np.ndarray, np.ndarray]]
     sigma_iqr: np.ndarray | None
-    members: list[np.ndarray] | None  # fixed groups (tabular), else None
-    group_ids: np.ndarray | None
+    groups: tuple[np.ndarray, np.ndarray] | None  # fixed CSR groups (tabular), else None
     cost: np.ndarray | None = None  # per-edge routing costs (graph mode)
 
 
@@ -356,10 +380,6 @@ class _RepOutcome:
     coverage: float
     mean_width: float
     n_infinite: int
-
-
-def _needs_quantiles(methods: Sequence[str]) -> bool:
-    return bool(_CQR_METHODS & set(methods)) or "normal_hetero" in methods
 
 
 def _fit_and_predict(features, labels, train_pos, universe, alphas, config):
@@ -388,9 +408,8 @@ def _fit_and_predict(features, labels, train_pos, universe, alphas, config):
     return y_hat, quant, sigma_iqr
 
 
-def _train_universe(n, config, rep=None):
-    entropy = [config.seed, _STREAM_TRAIN] + ([rep] if rep is not None else [])
-    rng = np.random.default_rng(derive_seed(*entropy))
+def _train_universe(n, config):
+    rng = np.random.default_rng(derive_seed(config.seed, _STREAM_TRAIN))
     n_train = int(n * config.train_frac)
     n_train = min(max(n_train, 1), n - 2)
     perm = rng.permutation(n)
@@ -400,19 +419,21 @@ def _train_universe(n, config, rep=None):
 class _Session:
     """Shared read-only state plus the per-rep evaluation logic."""
 
-    def __init__(self, config: ExperimentConfig, prep_fn,
+    def __init__(self, config: ExperimentConfig, prep: _Prep,
                  graph: WeightedGraph | None = None,
                  path_spec: PathSampling | None = None,
                  collect_deltas: bool = False):
         self.config = config
-        self.prep_fn = prep_fn  # rep -> _Prep
+        self.prep = prep
         self.graph = graph
         self.path_spec = path_spec
         self.collect_deltas = collect_deltas
 
-    def _groups_for_rep(self, prep: _Prep, rep: int) -> tuple[list[np.ndarray], np.ndarray]:
-        if prep.members is not None:
-            return prep.members, prep.group_ids
+    def _groups_for_rep(self, rep: int) -> tuple[np.ndarray, np.ndarray]:
+        """This rep's groups as CSR (offsets, members), members sorted."""
+        prep = self.prep
+        if prep.groups is not None:
+            return prep.groups
         paths = sample_path_groups(
             self.graph,
             self.path_spec.n_paths,
@@ -434,180 +455,118 @@ class _Session:
             rows = rows[in_universe[rows]]
             if rows.size:
                 members.append(rows)
-        return members, np.arange(len(members))
+        return group_csr(members)
 
     def run_rep(self, rep: int):
-        config = self.config
-        prep = self.prep_fn(rep)
-        members, group_ids = self._groups_for_rep(prep, rep)
-        if not members:
+        offsets, members = self._groups_for_rep(rep)
+        if offsets.size == 1:
             raise ValueError(f"rep {rep}: no usable groups")
+        split = self._split(rep, offsets, members)
+        deltas = _overlap_deltas(offsets, members) if self.collect_deltas else None
+        true_sums = per_group(row_sum, *split.test, self.prep.y)
 
+        outcomes: dict[tuple[str, float], _RepOutcome | None] = {}
+        for alpha in self.config.alphas:
+            for method in self.config.methods:
+                try:
+                    lower, upper = self._bounds(method, alpha, rep, split)
+                except ValueError as exc:
+                    logger.warning("rep %d: %s at alpha=%g failed: %s", rep, method, alpha, exc)
+                    outcomes[(method, alpha)] = None
+                    continue
+                covered = (lower <= true_sums) & (true_sums <= upper)
+                widths = upper - lower
+                finite = np.isfinite(widths)
+                outcomes[(method, alpha)] = _RepOutcome(
+                    coverage=float(covered.mean()),
+                    mean_width=float(widths[finite].mean()) if finite.any() else math.nan,
+                    n_infinite=int((~finite).sum()),
+                )
+        return outcomes, deltas
+
+    def _split(self, rep: int, offsets: np.ndarray, members: np.ndarray) -> _SplitArrays:
+        """Split the rep's CSR groups into calibration and test sides."""
+        config, prep = self.config, self.prep
         assignment = symmetric_split(
             prep.universe.tolist(), derive_seed(config.seed, _STREAM_SPLIT, rep),
             config.split_mode,
         )
         is_cal = np.zeros(prep.y.size, dtype=bool)
         is_cal[np.fromiter(assignment.cal, dtype=np.int64, count=len(assignment.cal))] = True
-
-        cal_list = [m[is_cal[m]] for m in members]
-        test_list = [m[~is_cal[m]] for m in members]
-        cal_sizes = np.array([c.size for c in cal_list])
-        test_sizes = np.array([t.size for t in test_list])
-        targets = np.flatnonzero(test_sizes > 0)
+        on_cal = is_cal[members]
+        owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        n_cal = np.bincount(owner[on_cal], minlength=offsets.size - 1)
+        n_test = np.diff(offsets) - n_cal
+        targets = np.flatnonzero(n_test)
         if targets.size == 0:
             raise ValueError(f"rep {rep}: no group has a non-empty test side")
-
-        y, y_hat = prep.y, prep.y_hat
-        cal_universe = prep.universe[is_cal[prep.universe]]
-        # split scores: |sum of residuals| per group, empty sums are 0
-        scores_split = np.array(
-            [abs(float(np.sum(y[c] - y_hat[c]))) if c.size else 0.0 for c in cal_list]
-        )
-        pred_sums = np.array(
-            [float(np.sum(y_hat[t])) if t.size else 0.0 for t in test_list]
-        )
-        true_sums = np.array(
-            [float(np.sum(y[t])) if t.size else 0.0 for t in test_list]
+        strata = None
+        if any(m.endswith("_strat") for m in config.methods):
+            strata = StrataSpec.from_cal_sizes(n_cal)
+        return _SplitArrays(
+            cal=(csr_offsets(n_cal), members[on_cal]),
+            test=(csr_offsets(n_test[targets]), members[~on_cal]),
+            targets=targets,
+            cal_rows=prep.universe[is_cal[prep.universe]],
+            strata=strata,
         )
 
-        deltas = None
-        if self.collect_deltas:
-            groups = [
-                IndexGroup(group_id=int(g), members=frozenset(m.tolist()))
-                for g, m in zip(group_ids, members)
-            ]
-            deltas = _overlap_deltas(groups)
-
-        outcomes: dict[tuple[str, float], _RepOutcome | None] = {}
-        for alpha in config.alphas:
-            ctx = {}
-            if _needs_quantiles(config.methods) and alpha in prep.quant:
-                qlo, qhi = prep.quant[alpha]
-                ctx["scores_cqr"] = np.array(
-                    [
-                        float(max(np.sum(qlo[c] - y[c]), np.sum(y[c] - qhi[c])))
-                        if c.size
-                        else 0.0
-                        for c in cal_list
-                    ]
-                )
-                ctx["lo_sums"] = np.array(
-                    [float(np.sum(qlo[t])) if t.size else 0.0 for t in test_list]
-                )
-                ctx["hi_sums"] = np.array(
-                    [float(np.sum(qhi[t])) if t.size else 0.0 for t in test_list]
-                )
-                ctx["qlo"], ctx["qhi"] = qlo, qhi
-            strata = None
-            if any(m.endswith("_strat") for m in config.methods):
-                strata = StrataSpec.from_cal_sizes(
-                    cal_sizes, config.strata_buckets, config.strata_min_count
-                )
-            for method in config.methods:
-                try:
-                    intervals = self._method_intervals(
-                        prep, method, alpha, rep, targets, group_ids,
-                        scores_split, cal_sizes, test_sizes,
-                        pred_sums, cal_universe, cal_list, test_list, strata, ctx,
-                    )
-                    covered = np.array(
-                        [iv.covers(true_sums[t]) for iv, t in zip(intervals, targets)]
-                    )
-                    widths = np.array([iv.width for iv in intervals])
-                    finite = np.isfinite(widths)
-                    outcomes[(method, alpha)] = _RepOutcome(
-                        coverage=float(covered.mean()),
-                        mean_width=float(widths[finite].mean()) if finite.any() else math.nan,
-                        n_infinite=int((~finite).sum()),
-                    )
-                except ValueError as exc:
-                    logger.warning("rep %d: %s at alpha=%g failed: %s", rep, method, alpha, exc)
-                    outcomes[(method, alpha)] = None
-        return outcomes, deltas
-
-    def _method_intervals(
-        self, prep, method, alpha, rep, targets, group_ids,
-        scores_split, cal_sizes, test_sizes, pred_sums,
-        cal_universe, cal_list, test_list, strata, ctx,
-    ) -> list[IntervalPrediction]:
-        y, y_hat = prep.y, prep.y_hat
-        out = []
-        if method in ("cia_split", "cia_cqr", "cia_split_strat", "cia_cqr_strat"):
-            kind = "cqr" if "cqr" in method else "split"
-            scores = scores_split if kind == "split" else ctx["scores_cqr"]
-            for t in targets:
-                others = np.delete(scores, t)
-                if method.endswith("_strat"):
-                    q = _stratified_threshold_value(
-                        others, np.delete(cal_sizes, t), int(test_sizes[t]),
-                        strata, alpha,
-                    )
-                else:
-                    q = score_threshold(others, alpha).value
-                out.append(self._interval(kind, t, alpha, q, pred_sums, ctx, group_ids))
-        elif method in ("group_split", "group_cqr"):
-            kind = "cqr" if "cqr" in method else "split"
-            if kind == "split":
-                cols = (y[cal_universe], y_hat[cal_universe])
-            else:
-                cols = (y[cal_universe], ctx["qlo"][cal_universe], ctx["qhi"][cal_universe])
-            mseed = METHOD_IDS.index(method)
-            for pos, t in enumerate(targets):
-                rng = np.random.default_rng(
-                    derive_seed(self.config.seed, _STREAM_GSAMP, rep, mseed, pos)
-                )
-                q = baselines.group_sampling_threshold(
-                    cols, int(test_sizes[t]), alpha, kind, None, rng
-                )
-                out.append(self._interval(kind, t, alpha, q, pred_sums, ctx, group_ids))
-        elif method == "normal_homo":
-            sigma = baselines.pooled_residual_sigma(y[cal_universe], y_hat[cal_universe])
-            for t in targets:
-                out.append(
-                    baselines.normal_interval(
-                        pred_sums[t], math.sqrt(test_sizes[t]) * sigma, alpha,
-                        int(group_ids[t]),
-                    )
-                )
-        elif method == "normal_hetero":
-            sig = prep.sigma_iqr
-            for t in targets:
-                spread = math.sqrt(float(np.sum(sig[test_list[t]] ** 2)))
-                out.append(
-                    baselines.normal_interval(pred_sums[t], spread, alpha, int(group_ids[t]))
-                )
-        elif method in ("bonf_split", "bonf_cqr"):
-            kind = "cqr" if "cqr" in method else "split"
-            if kind == "split":
-                ps = baselines.per_sample_split_scores(y[cal_universe], y_hat[cal_universe])
-            else:
-                ps = baselines.per_sample_cqr_scores(
-                    y[cal_universe], ctx["qlo"][cal_universe], ctx["qhi"][cal_universe]
-                )
-            for t in targets:
-                q = score_threshold(ps, alpha / test_sizes[t]).value
-                if kind == "split":
-                    cols = (y_hat[test_list[t]],)
-                else:
-                    cols = (ctx["qlo"][test_list[t]], ctx["qhi"][test_list[t]])
-                out.append(
-                    baselines.bonferroni_interval(q, cols, alpha, kind, int(group_ids[t]))
-                )
-        else:  # pragma: no cover - config validation rejects unknown ids
-            raise ValueError(f"unknown method {method!r}")
-        return out
-
-    def _interval(self, kind, t, alpha, q_value, pred_sums, ctx, group_ids):
-        if kind == "split":
-            return interval_from_threshold(
-                int(group_ids[t]), alpha, q_value, score_kind="split",
-                pred_sum=pred_sums[t],
+    def _bounds(self, method: str, alpha: float, rep: int, split: _SplitArrays):
+        """(lower, upper) of every target of the split under one method."""
+        kind = "cqr" if method in _CQR_METHODS else "split"
+        score, _ = scoring.score_kind(kind)
+        prep = self.prep
+        cols = (prep.y, prep.y_hat) if kind == "split" else (prep.y, *prep.quant[alpha])
+        if (kind, alpha) not in split.pooled:
+            split.pooled[(kind, alpha)] = (
+                per_group(score, *split.cal, *cols),
+                [per_group(row_sum, *split.test, c) for c in cols[1:]],
             )
-        return interval_from_threshold(
-            int(group_ids[t]), alpha, q_value, score_kind="cqr",
-            lo_sum=ctx["lo_sums"][t], hi_sum=ctx["hi_sums"][t],
-        )
+        scores, sums = split.pooled[(kind, alpha)]
+        sizes = np.diff(split.test[0])
+        cal_cols = [c[split.cal_rows] for c in cols]
+        if method == "normal_homo":
+            sigma = baselines.pooled_residual_sigma(*cal_cols)
+            return baselines.normal_interval(sums[0], np.sqrt(sizes) * sigma, alpha)
+        if method == "normal_hetero":
+            spread = np.sqrt(per_group(baselines.sum_of_squares, *split.test, prep.sigma_iqr))
+            return baselines.normal_interval(sums[0], spread, alpha)
+        if method.startswith("bonf_"):
+            per_sample = score(*(c[:, None] for c in cal_cols))
+            q = {m: score_threshold(per_sample, alpha / m).value
+                 for m in np.unique(sizes).tolist()}
+            return baselines.bonferroni_interval(q, split.test, cols[1:], kind)
+        if method.startswith("group_"):
+            mseed = METHOD_IDS.index(method)
+            q = np.array([
+                baselines.group_sampling_threshold(
+                    cal_cols, m, alpha, kind, None,
+                    np.random.default_rng(
+                        derive_seed(self.config.seed, _STREAM_GSAMP, rep, mseed, pos)
+                    ),
+                )
+                for pos, m in enumerate(sizes.tolist())
+            ])
+        elif method.endswith("_strat"):
+            q = stratified_thresholds(
+                scores, np.diff(split.cal[0]), sizes, split.targets, split.strata, alpha
+            )
+        else:
+            q = loo_thresholds(scores, alpha, split.targets)
+        return interval_from_threshold(q, kind, sums)
+
+
+@dataclass(frozen=True)
+class _SplitArrays:
+    """One rep's calibration/test split of the groups, as arrays."""
+
+    cal: tuple[np.ndarray, np.ndarray]  # CSR calibration sides of all groups
+    test: tuple[np.ndarray, np.ndarray]  # CSR test sides of the targets
+    targets: np.ndarray  # positions of the groups with a non-empty test side
+    cal_rows: np.ndarray  # every calibration row, sorted
+    strata: StrataSpec | None  # from all groups' calibration sizes
+    # (score kind, alpha) -> (group scores, target test sums), shared by methods
+    pooled: dict = field(default_factory=dict)
 
 
 def _aggregate(config, per_rep) -> list[MethodResult]:
@@ -659,21 +618,19 @@ def _run_session(session: _Session):
     return _aggregate(session.config, per_rep), deltas
 
 
-def _prepare_tabular(dataset: TabularDataset, groups, config, rep=None) -> _Prep:
-    train_pos, universe = _train_universe(dataset.n_rows, config, rep)
+def _prepare_tabular(dataset: TabularDataset, groups, config) -> _Prep:
+    train_pos, universe = _train_universe(dataset.n_rows, config)
     y_hat, quant, sigma = _fit_and_predict(
         dataset.features, dataset.labels, train_pos, universe, config.alphas, config
     )
     kept = restrict_groups(groups, universe.tolist())
-    members = [np.array(sorted(g.members), dtype=np.int64) for g in kept]
-    gids = np.array([g.group_id for g in kept], dtype=np.int64)
     return _Prep(
         universe=universe, y=dataset.labels.astype(float), y_hat=y_hat,
-        quant=quant, sigma_iqr=sigma, members=members, group_ids=gids,
+        quant=quant, sigma_iqr=sigma, groups=group_csr(sorted(g.members) for g in kept),
     )
 
 
-def _prepare_graph(graph: WeightedGraph, config, rep=None) -> _Prep:
+def _prepare_graph(graph: WeightedGraph, config) -> _Prep:
     labels = graph.labels
     if np.isnan(labels).any():
         raise ValueError(
@@ -686,7 +643,7 @@ def _prepare_graph(graph: WeightedGraph, config, rep=None) -> _Prep:
         # no edge features: a constant column turns knn into global statistics
         features = np.zeros((graph.n_edges, 1))
         cfg = replace(config, point_model="knn")
-    train_pos, universe = _train_universe(graph.n_edges, cfg, rep)
+    train_pos, universe = _train_universe(graph.n_edges, cfg)
     y_hat, quant, sigma = _fit_and_predict(
         features, labels, train_pos, universe, cfg.alphas, cfg
     )
@@ -697,7 +654,7 @@ def _prepare_graph(graph: WeightedGraph, config, rep=None) -> _Prep:
     cost[universe] = np.maximum(y_hat[universe], 0.0)
     return _Prep(
         universe=universe, y=labels.astype(float), y_hat=y_hat,
-        quant=quant, sigma_iqr=sigma, members=None, group_ids=None, cost=cost,
+        quant=quant, sigma_iqr=sigma, groups=None, cost=cost,
     )
 
 
@@ -714,26 +671,15 @@ def run_experiment(data, grouping, config: ExperimentConfig) -> list[MethodResul
     if isinstance(data, WeightedGraph):
         if not isinstance(grouping, PathSampling):
             raise ValueError("graph experiments need a PathSampling spec")
-        prep_fn = _prep_factory(lambda rep: _prepare_graph(data, config, rep), config)
-        session = _Session(config, prep_fn, graph=data, path_spec=grouping)
+        session = _Session(config, _prepare_graph(data, config), graph=data,
+                           path_spec=grouping)
     else:
         groups = list(grouping)
         if not groups:
             raise ValueError("tabular experiments need a non-empty group list")
-        prep_fn = _prep_factory(
-            lambda rep: _prepare_tabular(data, groups, config, rep), config
-        )
-        session = _Session(config, prep_fn)
+        session = _Session(config, _prepare_tabular(data, groups, config))
     results, _ = _run_session(session)
     return results
-
-
-def _prep_factory(make, config: ExperimentConfig):
-    """Fixed training draw by default; per-rep redraws when configured."""
-    if config.refit_train_each_rep:
-        return make
-    fixed = make(None)
-    return lambda rep: fixed
 
 
 def overlap_gap_study(
@@ -746,22 +692,19 @@ def overlap_gap_study(
 
     Each row records the mean (over reps) pairwise-Jaccard and worst-case
     overlap measures of the sampled groups together with the empirical
-    coverage gap, coverage - (1 - alpha). Rows whose sampling fails are
-    skipped with a warning.
+    coverage gap, coverage - (1 - alpha). The model is fitted once for all
+    rows; a row whose path sampling yields no usable rep is skipped with a
+    warning.
     """
+    prep = _prepare_graph(graph, config)
     rows: list[OverlapStudyRow] = []
     for min_len in min_len_grid:
-        try:
-            prep_fn = _prep_factory(lambda rep: _prepare_graph(graph, config, rep), config)
-            session = _Session(
-                config, prep_fn, graph=graph,
-                path_spec=PathSampling(n_paths=n_paths, min_path_len=int(min_len)),
-                collect_deltas=True,
-            )
-            results, deltas = _run_session(session)
-        except ValueError as exc:
-            logger.warning("overlap study: min_len=%d skipped: %s", min_len, exc)
-            continue
+        session = _Session(
+            config, prep, graph=graph,
+            path_spec=PathSampling(n_paths=n_paths, min_path_len=int(min_len)),
+            collect_deltas=True,
+        )
+        results, deltas = _run_session(session)
         if not deltas:
             logger.warning("overlap study: min_len=%d produced no usable reps", min_len)
             continue

@@ -102,13 +102,23 @@ class WeightedGraph:
         self.costs = np.array([e.cost for e in self.edges], dtype=float)
         self.src_pos = np.array([self._node_pos[e.src] for e in self.edges], dtype=np.int64)
         self.dst_pos = np.array([self._node_pos[e.dst] for e in self.edges], dtype=np.int64)
-        if n_feat is not None and all(e.features is not None for e in self.edges):
-            self.features = np.array([e.features for e in self.edges], dtype=float)
-        else:
-            self.features = None
+        featured = [e for e in self.edges if e.features is not None]
+        feats = np.array([e.features for e in featured], dtype=float).reshape(
+            len(featured), n_feat or 0
+        )
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad.size:
+            raise ValueError(f"edge {featured[bad[0]].edge_id} has a non-finite feature")
+        self.features = feats if featured and len(featured) == len(self.edges) else None
+        # an absent label is nan; one given explicitly must be finite
         self.labels = np.array(
             [math.nan if e.label is None else e.label for e in self.edges], dtype=float
         )
+        labeled = np.array([e.label is not None for e in self.edges], dtype=bool)
+        bad = np.flatnonzero(labeled & ~np.isfinite(self.labels))
+        if bad.size:
+            e = self.edges[bad[0]]
+            raise ValueError(f"edge {e.edge_id} has non-finite label {e.label}")
         self._csr = None
         # (read-only copy of the costs, {source position: pred_edge}),
         # swapped as one object so readers never see a mixed pair

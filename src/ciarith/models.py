@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledSample
+from .core import LabeledSample, extract_column
 
 __all__ = ["FittedModel", "fit", "predict_point", "predict_quantiles"]
 
@@ -39,13 +39,10 @@ def _design(samples: Sequence[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
     if not samples:
         raise ValueError("training set is empty")
     rows = []
-    labels = []
     width = None
     for s in samples:
         if s.features is None:
             raise ValueError(f"sample {s.index} has no features")
-        if s.label is None:
-            raise ValueError(f"sample {s.index} has no label")
         f = np.asarray(s.features, dtype=float).ravel()
         if width is None:
             width = f.size
@@ -54,8 +51,7 @@ def _design(samples: Sequence[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
                 f"sample {s.index} has {f.size} features, expected {width}"
             )
         rows.append(f)
-        labels.append(s.label)
-    return np.vstack(rows), np.asarray(labels, dtype=float)
+    return np.vstack(rows), extract_column(samples, "label")[0]
 
 
 def fit_arrays(

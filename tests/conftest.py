@@ -1,7 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ciarith
 from ciarith.graph import Edge, WeightedGraph, save_edge_list
+
+
+def child_env() -> dict:
+    """The caller's environment, with the ``ciarith`` this process imported
+    first on PYTHONPATH so a child process tests the same source tree."""
+    env = dict(os.environ)
+    src = str(Path(ciarith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def make_grid_graph(k: int, rng_seed: int = 0) -> WeightedGraph:

@@ -16,10 +16,10 @@ import pytest
 from ciarith.baselines import group_sampling_predict, normal_homoscedastic_predict
 from ciarith.cia import (
     StrataSpec,
-    _stratified_threshold_value,
     cia_predict,
     split_groups,
     stratified_cia_predict,
+    stratified_thresholds,
     symmetric_split,
 )
 from ciarith.cli import main
@@ -40,7 +40,7 @@ from ciarith.graph import dijkstra
 from ciarith.report import read_results_csv
 from ciarith.scoring import split_group_score
 
-from conftest import make_grid_graph
+from conftest import child_env, make_grid_graph
 from test_graph import brute_force_cost, path_cost, random_graph
 
 
@@ -298,9 +298,9 @@ def test_a8_stratified_per_stratum_coverage():
             m_t = test[t].size
             if m_t == 0:
                 continue
-            q = _stratified_threshold_value(
-                np.delete(scores, t), np.delete(cal_sizes, t), m_t, strata, 0.1
-            )
+            q = stratified_thresholds(
+                np.delete(scores, t), np.delete(cal_sizes, t), [m_t], [-1], strata, 0.1
+            )[0]
             j = strata.bucket_index(m_t)
             hits[j] = hits.get(j, 0) + (abs(y[test[t]].sum()) <= q)
             totals[j] = totals.get(j, 0) + 1
@@ -322,7 +322,8 @@ def test_a9_cli_reproducibility(tmp_path):
     ]
     for d in ("r1", "r2"):
         proc = subprocess.run(
-            base + ["--out", str(tmp_path / d)], capture_output=True, text=True
+            base + ["--out", str(tmp_path / d)], capture_output=True, text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
     b1 = (tmp_path / "r1/results.csv").read_bytes()

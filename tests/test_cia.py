@@ -16,7 +16,14 @@ from ciarith.cia import (
     stratified_cia_predict,
     symmetric_split,
 )
-from ciarith.core import IndexGroup, LabeledSample, SampleSet, SplitAssignment, score_threshold
+from ciarith.core import (
+    IndexGroup,
+    LabeledSample,
+    SampleSet,
+    SplitAssignment,
+    group_csr,
+    score_threshold,
+)
 from ciarith.scoring import split_group_score
 
 
@@ -410,28 +417,24 @@ class TestOverlapDeltas:
         with pytest.raises(ValueError, match="two groups"):
             overlap_delta_avg([IndexGroup(0, frozenset({1}))])
 
-    def test_backends_agree(self):
+    def test_kernel_matches_naive_set_intersections(self):
         rng = np.random.default_rng(55)
         for _ in range(20):
             n_groups = int(rng.integers(2, 12))
-            groups = [
-                IndexGroup(
-                    g,
-                    frozenset(
-                        int(v) for v in rng.choice(30, size=int(rng.integers(1, 8)),
-                                                   replace=False)
-                    ),
-                )
-                for g in range(n_groups)
+            sets = [
+                {int(v) for v in rng.choice(30, size=int(rng.integers(1, 8)), replace=False)}
+                for _ in range(n_groups)
             ]
-            offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-            chunks = []
-            for i, g in enumerate(groups):
-                m = np.array(sorted(g.members), dtype=np.int64)
-                chunks.append(m)
-                offsets[i + 1] = offsets[i] + m.size
-            members = np.concatenate(chunks)
-            c_main, j_main = kernels.pairwise_overlap_stats(offsets, members)
-            c_np, j_np = kernels._pairwise_overlap_numpy(offsets, members)
-            assert np.array_equal(np.asarray(c_main), c_np)
-            assert j_main == pytest.approx(j_np, abs=1e-12)
+            offsets, members = group_csr(sorted(m) for m in sets)
+            counts, jaccard_sum = kernels.pairwise_overlap_stats(offsets, members)
+            expected_counts = [
+                sum(1 for l, b in enumerate(sets) if l != k and a & b)
+                for k, a in enumerate(sets)
+            ]
+            expected_jaccard = sum(
+                len(a & b) / len(a | b)
+                for k, a in enumerate(sets)
+                for b in sets[k + 1:]
+            )
+            assert list(counts) == expected_counts
+            assert jaccard_sum == pytest.approx(expected_jaccard, abs=1e-12)

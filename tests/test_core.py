@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ciarith.core import (
-    GroupScore,
     IndexGroup,
     IntervalPrediction,
     LabeledSample,
@@ -154,11 +153,6 @@ class TestDomainTypes:
             SplitAssignment(cal=frozenset({1, 2}), test=frozenset({2, 3}))
         a = SplitAssignment(cal=frozenset({1}), test=frozenset({2}))
         assert a.universe == {1, 2}
-
-    def test_group_score_non_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            GroupScore(group_id=0, score=-0.5, cal_size=1)
-        GroupScore(group_id=0, score=0.0, cal_size=0)
 
     def test_interval_ordering(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -1,0 +1,363 @@
+"""The array engine against a naive per-target oracle, bit for bit.
+
+The oracle is the per-target loop the engine replaced: one
+``score_threshold(np.delete(...))`` per target, the stratified pool
+rebuilt per target, one seeded group-sampling draw per target, normal
+and Bonferroni intervals one target at a time, and every group sum a
+separate ``np.sum``. The engine and the record adapters must reproduce
+its bounds exactly, for all ten methods.
+"""
+
+import math
+from statistics import NormalDist
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ciarith.baselines import (
+    bonferroni_predict,
+    group_sampling_predict,
+    iqr_sigma,
+    normal_hetero_iqr_predict,
+    normal_homoscedastic_predict,
+)
+from ciarith.cia import (
+    GroupSplitView,
+    StrataSpec,
+    cia_predict,
+    split_groups,
+    stratified_cia_predict,
+    stratified_thresholds,
+    symmetric_split,
+)
+from ciarith.core import (
+    IndexGroup,
+    LabeledSample,
+    SampleSet,
+    group_csr,
+    loo_thresholds,
+    score_threshold,
+)
+from ciarith.experiments import (
+    METHOD_IDS,
+    ExperimentConfig,
+    _STREAM_GSAMP,
+    _STREAM_SPLIT,
+    _Prep,
+    _Session,
+    derive_seed,
+)
+
+_NORMAL = NormalDist()
+SEED = 5
+REP = 3
+
+
+# ---------------------------------------------------------------------------
+# The oracle: one target at a time, the formulas written out inline
+# ---------------------------------------------------------------------------
+
+
+def _oracle_interval(kind, q, sums):
+    if kind == "split":
+        return sums[0] - q, sums[0] + q
+    lower, upper = sums[0] - q, sums[1] + q
+    if lower > upper:
+        lower = upper = 0.5 * (lower + upper)
+    return lower, upper
+
+
+def _oracle_strat_threshold(scores, cal_sizes, m, strata, alpha):
+    buckets = strata.bucket_index_array(cal_sizes)
+    counts = np.bincount(buckets, minlength=len(strata.buckets))
+    lo, hi = strata.merged_range(counts, strata.bucket_index(m))
+    return score_threshold(scores[(buckets >= lo) & (buckets <= hi)], alpha).value, lo < hi
+
+
+def oracle(prep, members, is_cal, method, alpha, log):
+    """Per-target bounds of ``method``; raises ValueError as the method would."""
+    y, y_hat, sigma = prep.y, prep.y_hat, prep.sigma_iqr
+    qlo, qhi = prep.quant[alpha]
+    cal = [m[is_cal[m]] for m in members]
+    test = [m[~is_cal[m]] for m in members]
+    targets = [t for t in range(len(members)) if test[t].size]
+    cal_rows = prep.universe[is_cal[prep.universe]]
+    kind = "cqr" if "cqr" in method else "split"
+    scores = np.array([
+        (abs(float(np.sum(y[c] - y_hat[c]))) if kind == "split"
+         else float(max(np.sum(qlo[c] - y[c]), np.sum(y[c] - qhi[c]))))
+        if c.size else 0.0
+        for c in cal
+    ])
+    cal_sizes = np.array([c.size for c in cal])
+    strata = StrataSpec.from_cal_sizes(cal_sizes)
+    out = []
+    for pos, t in enumerate(targets):
+        m = test[t].size
+        sums = ((float(np.sum(y_hat[test[t]])),) if kind == "split"
+                else (float(np.sum(qlo[test[t]])), float(np.sum(qhi[test[t]]))))
+        if method.startswith("cia_"):
+            if method.endswith("_strat"):
+                q, merged = _oracle_strat_threshold(
+                    np.delete(scores, t), np.delete(cal_sizes, t), m, strata, alpha
+                )
+                log["merged"] |= merged
+            else:
+                q = score_threshold(np.delete(scores, t), alpha).value
+            log["infinite"] |= q == math.inf
+            bounds = _oracle_interval(kind, q, sums)
+            log["collapsed"] |= kind == "cqr" and bounds[0] == bounds[1]
+        elif method.startswith("group_"):
+            rng = np.random.default_rng(
+                derive_seed(SEED, _STREAM_GSAMP, REP, METHOD_IDS.index(method), pos)
+            )
+            n_cal = cal_rows.size
+            if n_cal < m:
+                raise ValueError("too few calibration samples")
+            chunks = cal_rows[rng.permutation(n_cal)[: (n_cal // m) * m]].reshape(-1, m)
+            if kind == "split":
+                draws = np.abs((y[chunks] - y_hat[chunks]).sum(axis=1))
+            else:
+                draws = np.maximum((qlo[chunks] - y[chunks]).sum(axis=1),
+                                   (y[chunks] - qhi[chunks]).sum(axis=1))
+            bounds = _oracle_interval(kind, score_threshold(draws, alpha).value, sums)
+        elif method.startswith("normal_"):
+            if method == "normal_homo":
+                resid = y_hat[cal_rows] - y[cal_rows]
+                if resid.size < 2:
+                    raise ValueError("too few calibration samples")
+                spread = math.sqrt(m) * math.sqrt(float(np.sum(resid**2)) / (resid.size - 1))
+            else:
+                spread = math.sqrt(float(np.sum(sigma[test[t]] ** 2)))
+            bounds = (sums[0] + _NORMAL.inv_cdf(alpha / 2) * spread,
+                      sums[0] + _NORMAL.inv_cdf(1 - alpha / 2) * spread)
+        else:
+            if kind == "split":
+                per_sample = np.abs(y[cal_rows] - y_hat[cal_rows])
+                lo_col = hi_col = y_hat[test[t]]
+            else:
+                per_sample = np.maximum(qlo[cal_rows] - y[cal_rows], y[cal_rows] - qhi[cal_rows])
+                lo_col, hi_col = qlo[test[t]], qhi[test[t]]
+            q = score_threshold(per_sample, alpha / m).value
+            lower, upper = float(np.sum(lo_col - q)), float(np.sum(hi_col + q))
+            if lower > upper:
+                lower = upper = 0.5 * (lower + upper)
+            bounds = (lower, upper)
+        if not bounds[0] <= bounds[1]:
+            raise ValueError("crossed bounds")
+        out.append(bounds)
+    return np.array([b[0] for b in out]), np.array([b[1] for b in out])
+
+
+# ---------------------------------------------------------------------------
+# Fixtures: one experiment prep whose split exercises every corner
+# ---------------------------------------------------------------------------
+
+
+def make_prep(rng_seed, n_rows, n_groups, alphas, nan_row=None):
+    """A prep over ``n_rows`` universe rows and ``n_groups`` groups.
+
+    A quarter of the groups are singletons, so about half of those have an
+    empty calibration side. Quantile bands are wide, which makes the band
+    thresholds strongly negative, except on half of the singletons: their
+    narrow bands cross once padded by such a threshold.
+    """
+    rng = np.random.default_rng(rng_seed)
+    universe = np.arange(n_rows)
+    y = rng.standard_normal(n_rows)
+    y_hat = y + 0.5 * rng.standard_normal(n_rows)
+    if nan_row is not None:
+        y_hat[nan_row] = np.nan
+    n_single = n_groups // 4
+    perm = rng.permutation(n_rows)
+    half = np.full(n_rows, 4.0)
+    half[perm[: n_single // 2]] = 0.05
+    quant = {a: (y_hat - half, y_hat + half) for a in alphas}
+    q25 = y_hat - rng.uniform(0.1, 1.0, n_rows)
+    sigma = iqr_sigma(q25, 2 * y_hat - q25)
+    members = [np.sort(perm[i:i + 1]) for i in range(n_single)]
+    members += [np.sort(c) for c in np.array_split(perm[n_single:], n_groups - n_single)]
+    prep = _Prep(universe=universe, y=y, y_hat=y_hat, quant=quant, sigma_iqr=sigma,
+                 groups=group_csr(members))
+    return prep, members, (q25, 2 * y_hat - q25)
+
+
+# Each case's inputs, and the corners its split must reach.
+CASES = {
+    # 40 groups: every stratum is thinner than 20 and must merge
+    "thin-strata": (
+        dict(rng_seed=1, n_rows=160, n_groups=40, alphas=(0.1, 0.3)),
+        {"merged", "collapsed", "empty-cal"},
+    ),
+    # 12 groups at alpha 0.05: k = ceil(12 * 0.95) = 12 > 11, the pool is +inf
+    "infinite-pool": (
+        dict(rng_seed=2, n_rows=60, n_groups=12, alphas=(0.05, 0.4)),
+        {"infinite", "merged", "empty-cal"},
+    ),
+    "many-groups": (dict(rng_seed=3, n_rows=900, n_groups=150, alphas=(0.1,)), {"empty-cal"}),
+    # one nan prediction: the methods that read it must fail, in both
+    "nan-prediction": (
+        dict(rng_seed=4, n_rows=160, n_groups=40, alphas=(0.2,), nan_row=7), {"failed"}
+    ),
+}
+
+
+def _engine(prep, alphas):
+    config = ExperimentConfig(alphas=alphas, reps=REP + 1, seed=SEED, methods=METHOD_IDS)
+    session = _Session(config, prep)
+    return session, session._split(REP, *session._groups_for_rep(REP))
+
+
+def _bounds_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_oracle_bitwise(case):
+    spec, corners = CASES[case]
+    prep, members, _ = make_prep(**spec)
+    session, split = _engine(prep, spec["alphas"])
+    assignment = symmetric_split(prep.universe.tolist(), derive_seed(SEED, _STREAM_SPLIT, REP))
+    is_cal = np.zeros(prep.y.size, dtype=bool)
+    is_cal[sorted(assignment.cal)] = True
+    log = dict(merged=False, infinite=False, collapsed=False, failed=False)
+    for alpha in spec["alphas"]:
+        for method in METHOD_IDS:
+            expected = _bounds_or_error(oracle, prep, members, is_cal, method, alpha, log)
+            got = _bounds_or_error(session._bounds, method, alpha, REP, split)
+            assert (got is None) == (expected is None), (method, alpha)
+            if expected is None:
+                log["failed"] = True
+                continue
+            assert np.array_equal(got[0], expected[0]), (method, alpha)
+            assert np.array_equal(got[1], expected[1]), (method, alpha)
+    log["empty-cal"] = any(not is_cal[members[t]].any() for t in split.targets)
+    reached = {k for k, v in log.items() if v}
+    assert corners <= reached
+    assert ("failed" in reached) == ("failed" in corners)
+
+
+@pytest.mark.parametrize("case", ["thin-strata", "infinite-pool"])
+def test_record_adapters_match_oracle_bitwise(case):
+    spec, _ = CASES[case]
+    prep, members, (q25, q75) = make_prep(**spec)
+    qlo, qhi = prep.quant[spec["alphas"][0]]
+    alpha = spec["alphas"][0]
+    samples = SampleSet(
+        LabeledSample(index=i, label=float(prep.y[i]), point_pred=float(prep.y_hat[i]),
+                      quant_lo=float(qlo[i]), quant_hi=float(qhi[i]))
+        for i in prep.universe.tolist()
+    )
+    assignment = symmetric_split(prep.universe.tolist(), derive_seed(SEED, _STREAM_SPLIT, REP))
+    is_cal = np.zeros(prep.y.size, dtype=bool)
+    is_cal[sorted(assignment.cal)] = True
+    views = split_groups(
+        [IndexGroup(g, frozenset(m.tolist())) for g, m in enumerate(members)], assignment
+    )
+    strata = StrataSpec.from_cal_sizes([v.cal_size for v in views])
+    cal = samples.subset(sorted(assignment.cal))
+    targets = [v for v in views if v.test_size]
+    log = dict(merged=False, infinite=False, collapsed=False)
+    for method in METHOD_IDS:
+        lower, upper = oracle(prep, members, is_cal, method, alpha, log)
+        kind = "cqr" if "cqr" in method else "split"
+        for pos, v in enumerate(targets):
+            test = samples.subset(v.test_members)
+            gseed = derive_seed(SEED, _STREAM_GSAMP, REP, METHOD_IDS.index(method), pos)
+            iv = {
+                "cia": lambda: cia_predict(views, samples, v.group_id, alpha, kind),
+                "cia_strat": lambda: stratified_cia_predict(
+                    views, samples, v.group_id, alpha, kind, strata),
+                "group": lambda: group_sampling_predict(cal, test, alpha, kind,
+                                                        rng_seed=gseed),
+                "normal_homo": lambda: normal_homoscedastic_predict(cal, test, alpha),
+                "normal_hetero": lambda: normal_hetero_iqr_predict(
+                    cal, test, alpha, lambda s: (q25[s.index], q75[s.index])),
+                "bonf": lambda: bonferroni_predict(cal, test, alpha, kind),
+            }[method.replace("_split", "").replace("_cqr", "")]()
+            assert (iv.lower, iv.upper) == (lower[pos], upper[pos]), (method, v.group_id)
+
+
+def test_stratified_thresholds_match_per_target_pools():
+    # small pools and bounds, so removing a target often drops its own
+    # bucket below the bound and changes the merge
+    rng = np.random.default_rng(77)
+    for _ in range(400):
+        G = int(rng.integers(2, 25))
+        scores = rng.integers(0, 6, size=G).astype(float)
+        cal_sizes = rng.integers(0, 7, size=G)
+        test_sizes = rng.integers(1, 7, size=G)
+        strata = StrataSpec(buckets=((1, 1), (2, 3), (4, None)),
+                            min_bucket_count=int(rng.integers(1, 8)))
+        alpha = float(rng.uniform(0.05, 0.6))
+        got = stratified_thresholds(scores, cal_sizes, test_sizes, np.arange(G), strata, alpha)
+        expected = [
+            _oracle_strat_threshold(np.delete(scores, t), np.delete(cal_sizes, t),
+                                    test_sizes[t], strata, alpha)[0]
+            for t in range(G)
+        ]
+        assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# Theorem 1's rank argument with the randomness taken out
+# ---------------------------------------------------------------------------
+
+
+def _rank(G, a):
+    """k = ceil(G (1 - a/100)), exactly."""
+    return -((-G * (100 - a)) // 100)
+
+
+def _count_covered(scores, q):
+    return int(np.sum(np.asarray(scores) <= q))
+
+
+def _one_score_per_group(scores):
+    """Group t scores s_t on one calibration sample and has one test
+    sample predicted 0, so its interval is [-q_t, q_t]."""
+    samples, views = [], []
+    for g, s in enumerate(scores):
+        samples += [LabeledSample(2 * g, label=s, point_pred=0.0),
+                    LabeledSample(2 * g + 1, label=0.0, point_pred=0.0)]
+        views.append(GroupSplitView(g, (2 * g,), (2 * g + 1,)))
+    return views, SampleSet(samples)
+
+
+SCORES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+ALPHA_PCT = st.integers(min_value=1, max_value=99)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SCORES, min_size=1, max_size=40, unique=True), ALPHA_PCT)
+def test_distinct_scores_exactly_k_targets_covered(scores, a):
+    G, alpha = len(scores), a / 100
+    q = loo_thresholds(scores, alpha, np.arange(G))
+    assert _count_covered(scores, q) == min(_rank(G, a), G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5).map(float), min_size=1, max_size=40), ALPHA_PCT)
+def test_tied_scores_at_least_k_targets_covered(scores, a):
+    G, alpha = len(scores), a / 100
+    q = loo_thresholds(scores, alpha, np.arange(G))
+    assert _count_covered(scores, q) >= min(_rank(G, a), G)
+    assert np.array_equal(
+        q, [score_threshold(np.delete(scores, t), alpha).value for t in range(G)]
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(SCORES, min_size=1, max_size=12, unique=True), ALPHA_PCT)
+def test_cia_predict_covers_exactly_k_targets(scores, a):
+    G, alpha = len(scores), a / 100
+    views, samples = _one_score_per_group(scores)
+    upper = [cia_predict(views, samples, g, alpha).upper for g in range(G)]
+    assert _count_covered(scores, upper) == min(_rank(G, a), G)
+    if _rank(G, a) > G - 1:  # the +inf sentinel: every target covered
+        assert all(u == math.inf for u in upper)

@@ -149,6 +149,34 @@ class TestLoadTabularCsv:
         assert len(set(ds.group_values["v"])) == 2
 
 
+class TestTabularDatasetValidation:
+    @pytest.mark.parametrize(
+        "row, col, where",
+        [(2, None, "row 2: label inf is not finite"),
+         (4, 1, "row 4, feature 'b': nan is not finite")],
+    )
+    def test_non_finite_value_names_row_and_column(self, row, col, where):
+        features, labels = np.zeros((6, 2)), np.zeros(6)
+        if col is None:
+            labels[row] = np.inf
+        else:
+            features[row, col] = np.nan
+        with pytest.raises(ValueError, match=where):
+            TabularDataset(features=features, labels=labels, feature_names=("a", "b"))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="do not match"):
+            TabularDataset(features=np.zeros((5, 2)), labels=np.zeros(6))
+
+    def test_inf_feature_fails_before_the_model_fit(self):
+        ds, groups = generate_synthetic(60, 6, "gaussian", 0)
+        features = ds.features.copy()
+        features[10, 0] = np.inf
+        with pytest.raises(ValueError, match="row 10, feature 0"):
+            run_experiment(TabularDataset(features=features, labels=ds.labels), groups,
+                           ExperimentConfig(alphas=(0.1,), reps=1))
+
+
 class TestGenerateSynthetic:
     def test_deterministic(self):
         a, ga = generate_synthetic(100, 10, "gaussian", 5)
@@ -270,15 +298,14 @@ class TestRunExperiment:
         cfg = ExperimentConfig(alphas=(0.1,), reps=1, seed=4)
         prep = _prepare_graph(g, cfg)
         spec = PathSampling(n_paths=30, min_path_len=2)
-        session = _Session(cfg, lambda rep: prep, graph=g, path_spec=spec)
-        members, group_ids = session._groups_for_rep(prep, 0)
+        session = _Session(cfg, prep, graph=g, path_spec=spec)
+        offsets, members = session._groups_for_rep(0)
         paths = sample_path_groups(g, 30, derive_seed(4, _STREAM_PATHS, 0),
                                    min_path_len=2, cost_fn=prep.cost)
         universe = set(prep.universe.tolist())
         expected = [sorted({g.edge_row(e) for e in p.edge_ids} & universe) for p in paths]
         expected = [rows for rows in expected if rows]
-        assert [m.tolist() for m in members] == expected
-        assert group_ids.tolist() == list(range(len(expected)))
+        assert [m.tolist() for m in np.split(members, offsets[1:-1])] == expected
 
     def test_graph_requires_path_spec(self):
         g = WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0, label=1.0)])
@@ -359,9 +386,7 @@ class TestHarnessMatchesPublicApi:
         )
         views = split_groups(kept, assignment)
         cal_samples = samples.subset(sorted(assignment.cal))
-        strata = StrataSpec.from_cal_sizes(
-            [v.cal_size for v in views], cfg.strata_buckets, cfg.strata_min_count
-        )
+        strata = StrataSpec.from_cal_sizes([v.cal_size for v in views])
         targets = [v for v in views if v.test_size > 0]
 
         per_method_cov = {m: [] for m in METHOD_IDS}

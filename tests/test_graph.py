@@ -143,22 +143,6 @@ class TestDijkstra:
         p = dijkstra(g, 0, 2, cost_fn=np.array([5.0, 5.0, 3.0]))
         assert p.edge_ids == (2,)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(62)
-        for _ in range(40):
-            g = random_graph(rng, n_nodes=8, p_edge=0.4)
-            indptr, adj_node, adj_edge = g.csr()
-            s, t = (int(v) for v in rng.integers(8, size=2))
-            d1, p1, e1 = kernels.dijkstra_arrays(indptr, adj_node, adj_edge, g.costs, s, t)
-            d2, p2, e2 = kernels._dijkstra_py(indptr, adj_node, adj_edge, g.costs, s, t)
-            assert d1[t] == d2[t]
-            if math.isfinite(d1[t]):
-                # identical predecessor chains, not just equal costs
-                at = t
-                while at != s:
-                    assert e1[at] == e2[at] and p1[at] == p2[at]
-                    at = int(p1[at])
-
 
 class TestSamplePathGroups:
     def _grid(self, k=4):
@@ -426,6 +410,23 @@ class TestGraphValidation:
     def test_invalid_cost_rejected(self):
         with pytest.raises(ValueError, match="invalid cost"):
             WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, -2.0)])
+
+    @pytest.mark.parametrize(
+        "bad, where",
+        [
+            (dict(features=(0.5, math.inf)), "edge 7 has a non-finite feature"),
+            (dict(features=(math.nan, 0.5)), "edge 7 has a non-finite feature"),
+            (dict(label=math.inf), "edge 7 has non-finite label inf"),
+            (dict(label=math.nan), "edge 7 has non-finite label nan"),
+        ],
+    )
+    def test_non_finite_feature_or_label_names_the_edge(self, bad, where):
+        fine = Edge(3, 0, 1, 1.0, features=(0.1, 0.2), label=1.0)
+        edges = [fine, Edge(7, 1, 0, 1.0, **{"features": (0.3, 0.4), "label": 2.0, **bad})]
+        with pytest.raises(ValueError, match=where):
+            WeightedGraph(nodes=[0, 1], edges=edges)
+        unlabeled = WeightedGraph(nodes=[0, 1], edges=[fine, Edge(7, 1, 0, 1.0)])
+        assert math.isnan(unlabeled.labels[1]) and unlabeled.features is None
 
     def test_validate_path_detects_breaks(self):
         g = WeightedGraph(
