@@ -54,21 +54,22 @@ def _add_common(p: argparse.ArgumentParser, default_methods: str = "all") -> Non
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", type=_methods, default=_methods(default_methods),
                    help=f"comma-separated subset of {','.join(METHOD_IDS)}, or 'all'")
+    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
+    p.add_argument("--knn-k", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _config(args, **overrides) -> ExperimentConfig:
-    kw = dict(
+def _config(args) -> ExperimentConfig:
+    return ExperimentConfig(
         alphas=args.alpha,
         reps=args.reps,
         seed=args.seed,
         methods=args.methods,
-        train_frac=getattr(args, "train_frac", 0.7),
-        split_mode=getattr(args, "split", "balanced"),
-        knn_k=getattr(args, "knn_k", None),
+        train_frac=args.train_frac,
+        split_mode=args.split,
+        knn_k=args.knn_k,
     )
-    kw.update(overrides)
-    return ExperimentConfig(**kw)
 
 
 def _print_results(results) -> None:
@@ -145,10 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True, help="response column name")
     p.add_argument("--group-by", type=lambda s: tuple(s.split(",")), required=True)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
     p.add_argument("--discretize-bins", type=int, default=None)
-    p.add_argument("--knn-k", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_group_avg)
 
@@ -156,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
-    p.add_argument("--knn-k", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_path_cost)
 
@@ -167,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=300)
     p.add_argument("--noise", choices=("gaussian", "student_t"), default="gaussian")
     p.add_argument("--features", type=int, default=3)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
-    p.add_argument("--knn-k", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -177,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--min-len-grid", type=_int_list, default=(1, 3, 5, 8))
     p.add_argument("--paths", type=int, default=100)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
-    p.add_argument("--knn-k", type=int, default=None)
     _add_common(p, default_methods="cia_split")
     p.set_defaults(fn=_cmd_overlap_study)
 

@@ -21,7 +21,7 @@ import csv
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,7 +99,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHOD_IDS
     train_frac: float = 0.7
     split_mode: str = "balanced"
-    point_model: str = "linear_ls"
     knn_k: int | None = None
 
     def __post_init__(self):
@@ -118,6 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.split_mode not in ("balanced", "bernoulli"):
             raise ValueError(f"unknown split mode {self.split_mode!r}")
+        if self.knn_k is not None and self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,12 @@ class PathSampling:
 
     n_paths: int
     min_path_len: int = 1
+
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.min_path_len < 1:
+            raise ValueError(f"min_path_len must be >= 1, got {self.min_path_len}")
 
 
 @dataclass(frozen=True)
@@ -331,7 +338,6 @@ def generate_synthetic(
     noise_kind: str = "gaussian",
     rng_seed: int = 0,
     n_features: int = 3,
-    noise_scale: float = 1.0,
 ) -> tuple[TabularDataset, list[IndexGroup]]:
     """Linear data with chosen noise, plus a uniform disjoint group partition.
 
@@ -350,7 +356,7 @@ def generate_synthetic(
         if noise_kind == "gaussian"
         else rng.standard_t(3, size=n_samples)
     )
-    y = X @ beta + 0.5 + noise_scale * noise
+    y = X @ beta + 0.5 + noise
     perm = rng.permutation(n_samples)
     groups = [
         IndexGroup(group_id=gid, members=frozenset(chunk.tolist()))
@@ -382,10 +388,10 @@ class _RepOutcome:
     n_infinite: int
 
 
-def _fit_and_predict(features, labels, train_pos, universe, alphas, config):
+def _fit_and_predict(features, labels, train_pos, universe, config, kind, k_neighbors):
+    """Point predictions from a ``kind`` model and kNN bands, on the universe."""
     y_hat = np.full(labels.size, np.nan)
-    model = fit_arrays(features[train_pos], labels[train_pos], config.point_model,
-                       k_neighbors=config.knn_k)
+    model = fit_arrays(features[train_pos], labels[train_pos], kind, k_neighbors=k_neighbors)
     y_hat[universe] = predict_point(model, features[universe])
     quant: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     sigma_iqr = None
@@ -393,9 +399,9 @@ def _fit_and_predict(features, labels, train_pos, universe, alphas, config):
     need_hetero = "normal_hetero" in config.methods
     if need_cqr or need_hetero:
         qmodel = fit_arrays(features[train_pos], labels[train_pos], "knn",
-                            k_neighbors=config.knn_k)
+                            k_neighbors=k_neighbors)
         if need_cqr:
-            for a in alphas:
+            for a in config.alphas:
                 lo = np.full(labels.size, np.nan)
                 hi = np.full(labels.size, np.nan)
                 lo_u, hi_u = predict_quantiles(qmodel, features[universe], (a / 2, 1 - a / 2))
@@ -621,7 +627,8 @@ def _run_session(session: _Session):
 def _prepare_tabular(dataset: TabularDataset, groups, config) -> _Prep:
     train_pos, universe = _train_universe(dataset.n_rows, config)
     y_hat, quant, sigma = _fit_and_predict(
-        dataset.features, dataset.labels, train_pos, universe, config.alphas, config
+        dataset.features, dataset.labels, train_pos, universe, config, "linear_ls",
+        config.knn_k,
     )
     kept = restrict_groups(groups, universe.tolist())
     return _Prep(
@@ -637,15 +644,15 @@ def _prepare_graph(graph: WeightedGraph, config) -> _Prep:
             "path-cost experiments need a label on every edge; "
             f"{int(np.isnan(labels).sum())} edges are unlabeled"
         )
-    features = graph.features
-    cfg = config
+    train_pos, universe = _train_universe(graph.n_edges, config)
+    features, kind, k = graph.features, "linear_ls", config.knn_k
     if features is None:
-        # no edge features: a constant column turns knn into global statistics
-        features = np.zeros((graph.n_edges, 1))
-        cfg = replace(config, point_model="knn")
-    train_pos, universe = _train_universe(graph.n_edges, cfg)
+        # no edge features: every training edge is a neighbour, so the point
+        # prediction is the training mean and the bands are order
+        # statistics of all training labels
+        features, kind, k = np.zeros((graph.n_edges, 1)), "knn", train_pos.size
     y_hat, quant, sigma = _fit_and_predict(
-        features, labels, train_pos, universe, cfg.alphas, cfg
+        features, labels, train_pos, universe, config, kind, k
     )
     cost = labels.copy()
     clipped = int(np.sum(y_hat[universe] < 0))

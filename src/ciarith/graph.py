@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -33,7 +34,7 @@ logger = logging.getLogger(__name__)
 
 _HEADER_FIXED = ("edge_id", "src", "dst", "cost")
 
-# Memory a graph may spend on cached shortest-path trees (int32 pred_edge
+# Memory a graph may spend on cached shortest-path trees (4-byte pred_edge
 # arrays of n_nodes entries each); past it the oldest tree is dropped.
 _TREE_CACHE_BYTES = 64 * 2**20
 
@@ -66,8 +67,8 @@ class PathGroup:
 class WeightedGraph:
     """Immutable directed graph with non-negative edge costs.
 
-    The graph caches what it derives from its edges: the CSR adjacency and
-    the shortest-path trees behind :func:`dijkstra`.
+    For one cost array at a time, the graph caches the adjacency lists its
+    shortest-path searches walk and the trees behind :func:`dijkstra`.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Sequence[Edge]):
@@ -119,11 +120,11 @@ class WeightedGraph:
         if bad.size:
             e = self.edges[bad[0]]
             raise ValueError(f"edge {e.edge_id} has non-finite label {e.label}")
-        self._csr = None
-        # (read-only copy of the costs, {source position: pred_edge}),
-        # swapped as one object so readers never see a mixed pair
-        self._trees: tuple[np.ndarray | None, OrderedDict[int, np.ndarray]] = (
-            None, OrderedDict()
+        # (read-only copy of the costs, their adjacency lists,
+        # {source position: pred_edge}), swapped as one object so readers
+        # never see a mixed entry
+        self._trees: tuple[np.ndarray | None, list | None, OrderedDict[int, array]] = (
+            None, None, OrderedDict()
         )
 
     @property
@@ -146,20 +147,19 @@ class WeightedGraph:
         except KeyError:
             raise ValueError(f"unknown edge {edge_id}") from None
 
-    def csr(self):
-        """(indptr, adj_node, adj_edge) adjacency sorted by (dst, edge row)."""
-        if self._csr is None:
-            order = np.lexsort((np.arange(self.n_edges), self.dst_pos, self.src_pos))
-            adj_node = self.dst_pos[order]
-            adj_edge = np.arange(self.n_edges, dtype=np.int64)[order]
-            counts = np.bincount(self.src_pos, minlength=self.n_nodes)
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr = (indptr, adj_node, adj_edge)
-        return self._csr
+    def _adjacency(self, cost: np.ndarray) -> list[list[tuple[int, int, float]]]:
+        """``adj[u]``: one (dst position, edge row, cost) per out-edge of
+        node position u, in row order (the search's result does not depend
+        on it)."""
+        adj = [[] for _ in range(self.n_nodes)]
+        rows = zip(self.src_pos.tolist(), self.dst_pos.tolist(), cost.tolist())
+        for e, (u, v, c) in enumerate(rows):
+            adj[u].append((v, e, c))
+        return adj
 
     def _tree_cache(self, cost: np.ndarray):
-        """(read-only copy of ``cost``, its cached trees by source position).
+        """(read-only copy of ``cost``, its adjacency, its cached trees by
+        source position).
 
         ``cost`` is a validated array in edge-row order. Trees are cached
         for one cost array at a time, so costs that differ from the cached
@@ -171,24 +171,21 @@ class WeightedGraph:
             return entry
         copy = np.array(cost, dtype=float)
         copy.flags.writeable = False
-        self._trees = (copy, OrderedDict())
-        return self._trees
+        entry = (copy, self._adjacency(copy), OrderedDict())
+        self._trees = entry
+        return entry
 
-    def _shortest_path_tree(self, source_pos: int, cost: np.ndarray) -> np.ndarray:
-        """int32 ``pred_edge`` of the full shortest-path tree rooted at
+    def _shortest_path_tree(self, source_pos: int, cost: np.ndarray) -> array:
+        """``pred_edge`` of the full shortest-path tree rooted at
         ``source_pos`` under ``cost``, cached (see :meth:`_tree_cache`).
 
         Within :data:`_TREE_CACHE_BYTES` the oldest tree is evicted first.
         """
-        cost, trees = self._tree_cache(cost)
+        _, adj, trees = self._tree_cache(cost)
         tree = trees.get(source_pos)
         if tree is None:
-            indptr, adj_node, adj_edge = self.csr()
-            _, _, pred_edge = kernels.dijkstra_arrays(
-                indptr, adj_node, adj_edge, cost, source_pos, -1
-            )
-            tree = pred_edge.astype(np.int32)
-            capacity = max(1, _TREE_CACHE_BYTES // tree.nbytes)
+            tree = array("i", kernels.dijkstra_arrays(adj, source_pos, -1)[2])
+            capacity = max(1, _TREE_CACHE_BYTES // (tree.itemsize * len(tree)))
             while len(trees) >= capacity:
                 try:
                     trees.popitem(last=False)
@@ -244,7 +241,7 @@ def dijkstra(
     ``cost_fn`` may be a per-edge callable, an array aligned with the
     graph's edge order, or None for the stored costs. Distance ties resolve
     toward the smallest (predecessor node, edge) pair, so results are
-    reproducible across runs and kernel backends.
+    reproducible across runs.
 
     The path is read from the full shortest-path tree rooted at
     ``source``, which the graph caches for the current costs (see
@@ -264,18 +261,15 @@ def dijkstra(
     pred_edge = graph._shortest_path_tree(s, cost)
     if pred_edge[t] < 0:
         return None
-    rows: list[int] = []
+    edges, node_pos = graph.edges, graph._node_pos
+    ids: list[int] = []
     at = t
     while at != s:
-        e = int(pred_edge[at])
-        rows.append(e)
-        at = int(graph.src_pos[e])
-    rows.reverse()
-    return PathGroup(
-        source=source,
-        target=target,
-        edge_ids=tuple(int(graph.edge_ids[r]) for r in rows),
-    )
+        e = edges[pred_edge[at]]
+        ids.append(int(e.edge_id))
+        at = node_pos[e.src]
+    ids.reverse()
+    return PathGroup(source=source, target=target, edge_ids=tuple(ids))
 
 
 def sample_path_groups(
@@ -305,7 +299,7 @@ def sample_path_groups(
         raise ValueError("min_path_len must be >= 1")
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample paths")
-    cost, _ = graph._tree_cache(_cost_array(graph, cost_fn))
+    cost = graph._tree_cache(_cost_array(graph, cost_fn))[0]
     rng = np.random.default_rng(rng_seed)
     budget = retry_factor * K
     out: list[PathGroup] = []

@@ -1,7 +1,9 @@
-"""Hot numeric kernels: single-source Dijkstra and pairwise group overlap.
+"""Hot kernels: single-source Dijkstra and pairwise group overlap.
 
-Both are plain numpy/Python. :data:`BACKEND` names the implementation for
-run reports; it is always ``"numpy"``.
+Dijkstra is pure Python over per-node adjacency lists, because Python
+indexes a list several times faster than a numpy array; the overlap
+kernel is one numpy matrix product. :data:`BACKEND` names the
+implementation for run reports; it is always ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -16,30 +18,26 @@ __all__ = ["BACKEND", "dijkstra_arrays", "pairwise_overlap_stats"]
 BACKEND = "numpy"
 
 
-def dijkstra_arrays(indptr, adj_node, adj_edge, cost, source: int, target: int):
-    """Shortest paths from ``source`` over a CSR adjacency.
+def dijkstra_arrays(adj, source: int, target: int):
+    """Shortest paths from ``source`` over per-node adjacency lists.
 
-    Returns (dist, pred_node, pred_edge); pred_edge holds positions into
-    the graph's edge arrays, -1 where unset. Entries are final for every
-    node settled before the target was reached. The search stops when
-    ``target`` is settled; pass ``target=-1`` to run it to completion and
-    get the full shortest-path tree rooted at ``source``. A node's
-    predecessor is fixed once it is settled and the heap order does not
-    depend on the target, so the tree's path to any node equals the
-    single-pair search's path to it. Distance ties go to the
-    lexicographically smallest (predecessor node, edge) pair.
+    ``adj[u]`` lists one ``(v, edge row, cost)`` per out-edge of node u.
+    Returns (dist, pred_node, pred_edge) as lists; pred_edge holds edge
+    rows, -1 where unset. Entries are final for every node settled before
+    the target was reached. The search stops when ``target`` is settled;
+    pass ``target=-1`` to run it to completion and get the full
+    shortest-path tree rooted at ``source``. A node's predecessor is fixed
+    once it is settled and the heap order does not depend on the target,
+    so the tree's path to any node equals the single-pair search's path to
+    it. Distance ties go to the lexicographically smallest (predecessor
+    node, edge) pair.
     """
-    # indexing a list from Python is several times cheaper than an array
-    indptr, adj_node, adj_edge, cost = (
-        np.asarray(a).tolist() for a in (indptr, adj_node, adj_edge, cost)
-    )
-    n = len(indptr) - 1
+    n = len(adj)
     dist = [math.inf] * n
     pred_node = [-1] * n
     pred_edge = [-1] * n
     done = [False] * n
 
-    source = int(source)
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
@@ -49,12 +47,10 @@ def dijkstra_arrays(indptr, adj_node, adj_edge, cost, source: int, target: int):
         done[u] = True
         if u == target:
             break
-        for p in range(indptr[u], indptr[u + 1]):
-            v = adj_node[p]
+        for v, e, c in adj[u]:
             if done[v]:
                 continue
-            e = adj_edge[p]
-            nd = d + cost[e]
+            nd = d + c
             if nd < dist[v]:
                 dist[v] = nd
                 pred_node[v] = u
@@ -65,11 +61,7 @@ def dijkstra_arrays(indptr, adj_node, adj_edge, cost, source: int, target: int):
             ):
                 pred_node[v] = u
                 pred_edge[v] = e
-    return (
-        np.array(dist, dtype=float),
-        np.array(pred_node, dtype=np.int64),
-        np.array(pred_edge, dtype=np.int64),
-    )
+    return dist, pred_node, pred_edge
 
 
 def pairwise_overlap_stats(offsets, members):

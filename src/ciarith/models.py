@@ -64,6 +64,8 @@ def fit_arrays(
         raise ValueError("features must be a non-empty (n, d) matrix aligned with labels")
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if k_neighbors is not None and k_neighbors < 1:
+        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -82,7 +84,7 @@ def fit_arrays(
         params = (coef,)
     else:  # knn
         k = k_neighbors if k_neighbors is not None else max(2, math.isqrt(Z.shape[0]))
-        k = min(max(1, k), Z.shape[0])
+        k = min(k, Z.shape[0])
         params = (Z, y)
         return FittedModel(kind=kind, feat_mean=mu, feat_scale=sd, params=params, k_neighbors=k)
     return FittedModel(kind=kind, feat_mean=mu, feat_scale=sd, params=params)

@@ -124,6 +124,24 @@ class TestParsing:
             capsys.readouterr().err.strip().splitlines()[-1]
         )["error"]
 
+    @pytest.mark.parametrize("argv, field", [
+        (["path-cost", "--min-len", "0"], "min_path_len"),
+        (["path-cost", "--paths", "0"], "n_paths"),
+        (["simulate", "--knn-k", "0"], "knn_k"),
+        (["simulate", "--knn-k", "-5"], "knn_k"),
+    ])
+    def test_bad_sizes_fail_naming_the_field(self, argv, field, grid_graph_csv,
+                                             tmp_path, capsys):
+        if argv[0] == "path-cost":
+            argv = argv + ["--graph", str(grid_graph_csv(k=4))]
+        else:
+            argv = argv + ["--n", "60", "--groups", "6"]
+        rc = run_cli(*argv, "--reps", "2", "--out", str(tmp_path / "x"))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert field in err["error"] and err["type"] == "ValueError"
+        assert not (tmp_path / "x").exists()
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             run_cli()

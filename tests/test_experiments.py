@@ -307,6 +307,21 @@ class TestRunExperiment:
         expected = [rows for rows in expected if rows]
         assert [m.tolist() for m in np.split(members, offsets[1:-1])] == expected
 
+    def test_featureless_graph_predicts_from_every_training_edge(self):
+        base = make_grid_graph(10, 7)
+        g = WeightedGraph(nodes=base.node_ids.tolist(),
+                          edges=[replace(e, features=None) for e in base.edges])
+        alpha = 0.1
+        cfg = ExperimentConfig(alphas=(alpha,), reps=1, seed=3)
+        prep = _prepare_graph(g, cfg)
+        train_pos, universe = _train_universe(g.n_edges, cfg)
+        train = np.sort(g.labels[train_pos])
+        n = train.size
+        assert prep.y_hat[universe] == pytest.approx(np.full(universe.size, train.mean()))
+        lo, hi = prep.quant[alpha]
+        assert np.all(lo[universe] == train[math.ceil(n * alpha / 2) - 1])
+        assert np.all(hi[universe] == train[math.ceil(n * (1 - alpha / 2)) - 1])
+
     def test_graph_requires_path_spec(self):
         g = WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0, label=1.0)])
         cfg = ExperimentConfig(alphas=(0.1,), reps=1, seed=0)
@@ -342,6 +357,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="reps"):
             ExperimentConfig(alphas=(0.1,), reps=0)
 
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_knn_k_positive(self, k):
+        with pytest.raises(ValueError, match="knn_k"):
+            ExperimentConfig(alphas=(0.1,), knn_k=k)
+
+    @pytest.mark.parametrize("field, kw", [
+        ("n_paths", dict(n_paths=0)),
+        ("min_path_len", dict(n_paths=5, min_path_len=0)),
+    ])
+    def test_path_sampling_rejects_non_positive_sizes(self, field, kw):
+        with pytest.raises(ValueError, match=field):
+            PathSampling(**kw)
+
 
 class TestHarnessMatchesPublicApi:
     """One rep of the harness must replay exactly through the public calls."""
@@ -357,7 +385,7 @@ class TestHarnessMatchesPublicApi:
         # --- replay the single rep through the public API ---
         train_pos, universe = _train_universe(ds.n_rows, cfg)
         point = fit_arrays(ds.features[train_pos], ds.labels[train_pos],
-                           cfg.point_model, k_neighbors=cfg.knn_k)
+                           "linear_ls", k_neighbors=cfg.knn_k)
         knn = fit_arrays(ds.features[train_pos], ds.labels[train_pos], "knn",
                          k_neighbors=cfg.knn_k)
         y_hat = np.full(ds.n_rows, np.nan)

@@ -210,8 +210,7 @@ def early_exit_path(graph, source, target, cost=None):
     if s == t:
         return PathGroup(source=source, target=target, edge_ids=())
     cost = graph.costs if cost is None else np.asarray(cost, dtype=float)
-    indptr, adj_node, adj_edge = graph.csr()
-    dist, _, pred_edge = kernels.dijkstra_arrays(indptr, adj_node, adj_edge, cost, s, t)
+    dist, _, pred_edge = kernels.dijkstra_arrays(graph._adjacency(cost), s, t)
     if not np.isfinite(dist[t]):
         return None
     rows = []
@@ -272,10 +271,28 @@ class TestShortestPathTrees:
             unreachable += expected is None
         assert (unreachable > 0) == has_unreachable
 
+    def test_ties_go_to_smallest_predecessor_then_edge(self):
+        # positive integer costs, so sums are exact and every predecessor on
+        # a shortest path is settled before the node it leads to
+        base = tied_grid(5, 2, node_offset=20)
+        twins = [Edge(e.edge_id + 1, e.src, e.dst, e.cost) for e in base.edges[::3]]
+        g = WeightedGraph(nodes=base.node_ids.tolist(), edges=base.edges + tuple(twins))
+        src, dst, cost = g.src_pos.tolist(), g.dst_pos.tolist(), g.costs.tolist()
+        for s in range(g.n_nodes):
+            dist = [math.inf] * g.n_nodes  # Bellman-Ford
+            dist[s] = 0.0
+            for _ in range(g.n_nodes):
+                for e in range(g.n_edges):
+                    dist[dst[e]] = min(dist[dst[e]], dist[src[e]] + cost[e])
+            tree = g._shortest_path_tree(s, g.costs)
+            for v in range(g.n_nodes):
+                tight = [(src[e], e) for e in range(g.n_edges)
+                         if dst[e] == v and dist[src[e]] + cost[e] == dist[v]]
+                assert tree[v] == (min(tight)[1] if v != s else -1)
+
     def test_tree_mode_of_the_kernel_settles_every_reachable_node(self):
         g = tied_grid(5, 1)
-        indptr, adj_node, adj_edge = g.csr()
-        dist, _, pred_edge = kernels.dijkstra_arrays(indptr, adj_node, adj_edge, g.costs, 7, -1)
+        dist, _, pred_edge = kernels.dijkstra_arrays(g._adjacency(g.costs), 7, -1)
         assert np.all(np.isfinite(dist))
         assert pred_edge[7] == -1 and np.all(np.delete(pred_edge, 7) >= 0)
 
@@ -307,10 +324,10 @@ class TestShortestPathTrees:
         monkeypatch.setattr(graph_module, "_TREE_CACHE_BYTES", 3 * 4 * g.n_nodes)
         got = sample_path_groups(g, K=30, rng_seed=2)
         assert got == naive_sample_paths(g, 30, 2)
-        assert len(g._trees[1]) == 3
+        assert len(g._trees[2]) == 3
         for s in range(6):
             g._shortest_path_tree(s, g.costs)
-        assert list(g._trees[1]) == [3, 4, 5]
+        assert list(g._trees[2]) == [3, 4, 5]
 
     def test_costs_are_validated_once_per_call_not_per_draw(self, monkeypatch):
         g = tied_grid(5, 6)
@@ -321,11 +338,11 @@ class TestShortestPathTrees:
                             lambda *a: validations.append(1) or validate(*a))
         sample_path_groups(g, K=10, rng_seed=1, cost_fn=custom)
         assert len(validations) == 1
-        cached, trees = g._trees
+        cached, adj, trees = g._trees
         assert cached is not custom and np.array_equal(cached, custom)
         assert not cached.flags.writeable
-        again, again_trees = g._tree_cache(custom.copy())
-        assert again is cached and again_trees is trees
+        again, again_adj, again_trees = g._tree_cache(custom.copy())
+        assert again is cached and again_adj is adj and again_trees is trees
 
 
 class TestEdgeListIO:

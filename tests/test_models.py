@@ -140,6 +140,11 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="features"):
             fit(bad, "mean")
 
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k_neighbors"):
+            fit_arrays(np.zeros((4, 1)), np.arange(4.0), "knn", k_neighbors=k)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             fit(rows([[0.0]], [1]), "forest")
