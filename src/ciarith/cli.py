@@ -58,6 +58,9 @@ def _add_common(p: argparse.ArgumentParser, default_methods: str = "all") -> Non
     p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
     p.add_argument("--knn-k", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                   default="WARNING", help="lowest level of log records on stderr "
+                   "(default WARNING)")
 
 
 def _config(args) -> ExperimentConfig:
@@ -176,9 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except Exception as exc:  # surface one machine-readable line

@@ -45,7 +45,7 @@ from .core import (
     score_threshold,
 )
 from .graph import WeightedGraph, sample_path_groups
-from .models import fit_arrays, predict_point, predict_quantiles
+from .models import fit_arrays, neighbor_labels, predict_point, quantile_index
 
 __all__ = [
     "METHOD_IDS",
@@ -344,6 +344,9 @@ def generate_synthetic(
     Samples are i.i.d. and the partition is an exchangeable random one, so
     the groups satisfy the exchangeability the coverage guarantee needs.
     """
+    for field, value in (("n_groups", n_groups), ("n_features", n_features)):
+        if value < 1:
+            raise ValueError(f"{field} must be >= 1, got {value}")
     if n_groups > n_samples:
         raise ValueError("n_groups cannot exceed n_samples")
     if noise_kind not in ("gaussian", "student_t"):
@@ -389,28 +392,39 @@ class _RepOutcome:
 
 
 def _fit_and_predict(features, labels, train_pos, universe, config, kind, k_neighbors):
-    """Point predictions from a ``kind`` model and kNN bands, on the universe."""
-    y_hat = np.full(labels.size, np.nan)
-    model = fit_arrays(features[train_pos], labels[train_pos], kind, k_neighbors=k_neighbors)
-    y_hat[universe] = predict_point(model, features[universe])
-    quant: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    sigma_iqr = None
+    """Point predictions from a ``kind`` model and kNN bands, on the universe.
+
+    One neighbour selection per fit: the k nearest training rows of the
+    universe are selected once and their labels sorted once. Every α's
+    (α/2, 1−α/2) band and the (0.25, 0.75) IQR are columns of that matrix,
+    read by ``predict_quantiles``' own index rule. A ``knn`` point model is
+    the quantile model itself, so it is fit once and its point predictions
+    are the means of the same selection.
+    """
+    X, y, Q = features[train_pos], labels[train_pos], features[universe]
+    model = fit_arrays(X, y, kind, k_neighbors=k_neighbors)
     need_cqr = bool(_CQR_METHODS & set(config.methods))
     need_hetero = "normal_hetero" in config.methods
+    near = None
+    if kind == "knn" or need_cqr or need_hetero:
+        qmodel = model if kind == "knn" else fit_arrays(X, y, "knn", k_neighbors=k_neighbors)
+        near = neighbor_labels(qmodel, Q)
+    y_hat = np.full(labels.size, np.nan)
+    y_hat[universe] = near.mean(axis=1) if kind == "knn" else predict_point(model, Q)
+    quant: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    sigma_iqr = None
     if need_cqr or need_hetero:
-        qmodel = fit_arrays(features[train_pos], labels[train_pos], "knn",
-                            k_neighbors=k_neighbors)
+        ranked = np.sort(near, axis=1)
+
+        def column(level):
+            out = np.full(labels.size, np.nan)
+            out[universe] = ranked[:, quantile_index(ranked.shape[1], level)]
+            return out
+
         if need_cqr:
-            for a in config.alphas:
-                lo = np.full(labels.size, np.nan)
-                hi = np.full(labels.size, np.nan)
-                lo_u, hi_u = predict_quantiles(qmodel, features[universe], (a / 2, 1 - a / 2))
-                lo[universe], hi[universe] = lo_u, hi_u
-                quant[a] = (lo, hi)
+            quant = {a: (column(a / 2), column(1 - a / 2)) for a in config.alphas}
         if need_hetero:
-            q25, q75 = predict_quantiles(qmodel, features[universe], (0.25, 0.75))
-            sigma_iqr = np.full(labels.size, np.nan)
-            sigma_iqr[universe] = baselines.iqr_sigma(q25, q75)
+            sigma_iqr = baselines.iqr_sigma(column(0.25), column(0.75))
     return y_hat, quant, sigma_iqr
 
 

@@ -4,6 +4,10 @@ Three kinds: ``mean`` (constant), ``linear_ls`` (least squares with
 intercept, ridge fallback on singular designs), and ``knn`` (neighbour
 mean, plus empirical quantiles of the neighbour labels). Features are
 z-scored per column inside ``fit`` using training statistics only.
+
+A kNN query selects the k nearest training rows once, by partial
+selection, and orders them by (distance, training index); the point
+prediction and every quantile level read that one selection.
 """
 
 from __future__ import annotations
@@ -110,12 +114,69 @@ def _standardize(model: FittedModel, features) -> tuple[np.ndarray, bool]:
     return (F - model.feat_mean) / model.feat_scale, single
 
 
+# Query rows per partition block. It bounds the int64 index temporary to
+# _BLOCK_ROWS x n_train; the block size changes no result.
+_BLOCK_ROWS = 256
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """(n_query, k) indices of the k nearest training rows, by (distance, index).
+
+    Equal to ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows. ``np.argpartition`` picks k candidates per row, and the
+    candidates are ordered by (distance, index). The candidate set is exact
+    unless another training row shares the k-th distance: a row whose count
+    of ``d2 <= kth`` is not exactly k has such a tie (or a NaN) at the
+    boundary and is redone with the stable sort. With k = n_train every row
+    is sorted whole.
+    """
+    if k == d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    out = np.empty((d2.shape[0], k), dtype=np.intp)
+    for start in range(0, d2.shape[0], _BLOCK_ROWS):
+        d = d2[start:start + _BLOCK_ROWS]
+        idx = np.argpartition(d, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d, idx[:, -1:], axis=1)
+        tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) != k)
+        idx.sort(axis=1)
+        by_dist = np.argsort(np.take_along_axis(d, idx, axis=1), axis=1, kind="stable")
+        idx = np.take_along_axis(idx, by_dist, axis=1)
+        if tied.size:
+            idx[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+        out[start:start + _BLOCK_ROWS] = idx
+    return out
+
+
 def _neighbor_labels(model: FittedModel, Z: np.ndarray) -> np.ndarray:
-    """(n_query, k) labels of the k nearest training points, ties by index."""
     Ztr, ytr = model.params
-    d2 = (Z**2).sum(axis=1)[:, None] + (Ztr**2).sum(axis=1)[None, :] - 2.0 * (Z @ Ztr.T)
-    order = np.argsort(d2, axis=1, kind="stable")[:, : model.k_neighbors]
-    return ytr[order]
+    # one GEMM over all query rows, in place: the same operations as
+    # a + b - 2.0 * (Z @ Ztr.T). Splitting the product by rows would change
+    # the last bits of the distances (a one-row block goes through GEMV).
+    d2 = (Z**2).sum(axis=1)[:, None] + (Ztr**2).sum(axis=1)[None, :]
+    g = Z @ Ztr.T
+    g *= 2.0
+    d2 -= g
+    del g  # free the product before the selection's temporaries
+    return ytr[_nearest(d2, model.k_neighbors)]
+
+
+def neighbor_labels(model: FittedModel, features) -> np.ndarray:
+    """(n_query, k) labels of the k nearest training rows, by (distance, index).
+
+    The one neighbour selection behind :func:`predict_point` (kind ``knn``)
+    and :func:`predict_quantiles`; a 1-D feature vector is one query row.
+    Distances are squared Euclidean on the z-scored features, and rows at
+    equal distance go to the lower training index.
+    """
+    if model.kind != "knn":
+        raise ValueError(f"model kind {model.kind!r} has no neighbours")
+    return _neighbor_labels(model, _standardize(model, features)[0])
+
+
+def quantile_index(k: int, level: float) -> int:
+    """Column of ``level`` among k sorted neighbour labels: the ceil(k * level)-th
+    smallest, at least the 1st (lower-interpolation order statistic)."""
+    return max(1, math.ceil(k * level - 1e-12)) - 1
 
 
 def predict_point(model: FittedModel, features):
@@ -134,8 +195,8 @@ def predict_point(model: FittedModel, features):
 def predict_quantiles(model: FittedModel, features, levels: tuple[float, float]):
     """Empirical (lower, upper) label quantiles among the k nearest neighbours.
 
-    Uses the lower-interpolation order statistic: level q maps to the
-    ceil(k * q)-th smallest neighbour label (at least the 1st).
+    Level q maps to column :func:`quantile_index` of the sorted labels of
+    the neighbours :func:`neighbor_labels` selects.
     """
     if model.kind != "knn":
         raise ValueError(f"model kind {model.kind!r} does not support quantiles")
@@ -147,10 +208,8 @@ def predict_quantiles(model: FittedModel, features, levels: tuple[float, float])
     Z, single = _standardize(model, features)
     labels = np.sort(_neighbor_labels(model, Z), axis=1)
     k = labels.shape[1]
-    lo_idx = max(1, math.ceil(k * lo_level - 1e-12)) - 1
-    hi_idx = max(1, math.ceil(k * hi_level - 1e-12)) - 1
-    lo = labels[:, lo_idx]
-    hi = labels[:, hi_idx]
+    lo = labels[:, quantile_index(k, lo_level)]
+    hi = labels[:, quantile_index(k, hi_level)]
     if single:
         return float(lo[0]), float(hi[0])
     return lo, hi

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from ciarith.cli import main
 from ciarith.report import read_results_csv
+from conftest import child_env
 
 
 def run_cli(*args):
@@ -113,6 +116,30 @@ class TestOverlapStudy:
         ).read_bytes()
 
 
+class TestLogLevel:
+    """``--log-level`` sets the lowest level of log records on stderr."""
+
+    def _stderr(self, tmp_path, *extra):
+        # 20 groups of 3 rows: some fall wholly inside training, and
+        # restrict_groups logs their drop at DEBUG
+        proc = subprocess.run(
+            [sys.executable, "-m", "ciarith.cli", "simulate", "--n", "60",
+             "--groups", "20", "--reps", "1", "--methods", "cia_split",
+             "--out", str(tmp_path / "x"), *extra],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_debug_lets_debug_records_through(self, tmp_path):
+        assert "DEBUG ciarith.cia: restrict_groups dropped" in self._stderr(
+            tmp_path, "--log-level", "DEBUG"
+        )
+
+    def test_default_hides_debug_records(self, tmp_path):
+        assert "DEBUG" not in self._stderr(tmp_path)
+
+
 class TestParsing:
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = run_cli(
@@ -129,13 +156,16 @@ class TestParsing:
         (["path-cost", "--paths", "0"], "n_paths"),
         (["simulate", "--knn-k", "0"], "knn_k"),
         (["simulate", "--knn-k", "-5"], "knn_k"),
+        (["simulate", "--groups", "0"], "n_groups"),
+        (["simulate", "--groups", "-3"], "n_groups"),
+        (["simulate", "--features", "0"], "n_features"),
     ])
     def test_bad_sizes_fail_naming_the_field(self, argv, field, grid_graph_csv,
                                              tmp_path, capsys):
         if argv[0] == "path-cost":
             argv = argv + ["--graph", str(grid_graph_csv(k=4))]
-        else:
-            argv = argv + ["--n", "60", "--groups", "6"]
+        else:  # the case's own value comes last, so it wins
+            argv = [argv[0], "--n", "60", "--groups", "6", *argv[1:]]
         rc = run_cli(*argv, "--reps", "2", "--out", str(tmp_path / "x"))
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

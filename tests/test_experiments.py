@@ -7,6 +7,7 @@ import pytest
 from ciarith.baselines import (
     bonferroni_predict,
     group_sampling_predict,
+    iqr_sigma,
     normal_hetero_iqr_predict,
     normal_homoscedastic_predict,
 )
@@ -29,6 +30,7 @@ from ciarith.experiments import (
     _STREAM_SPLIT,
     _Session,
     _prepare_graph,
+    _prepare_tabular,
     _train_universe,
     build_groups_by_category,
     derive_seed,
@@ -373,6 +375,51 @@ class TestConfigValidation:
 
 class TestHarnessMatchesPublicApi:
     """One rep of the harness must replay exactly through the public calls."""
+
+    BAND_METHODS = ("cia_cqr", "normal_hetero")
+
+    @staticmethod
+    def _assert_bands_match(prep, knn, queries, universe, alphas):
+        def same_bits(harness, public):
+            outside = np.ones(harness.size, dtype=bool)
+            outside[universe] = False
+            assert np.isnan(harness[outside]).all()
+            assert harness[universe].tobytes() == np.asarray(public).tobytes()
+
+        assert sorted(prep.quant) == sorted(alphas)
+        for a in alphas:
+            lo, hi = predict_quantiles(knn, queries, (a / 2, 1 - a / 2))
+            same_bits(prep.quant[a][0], lo)
+            same_bits(prep.quant[a][1], hi)
+        same_bits(prep.sigma_iqr, iqr_sigma(*predict_quantiles(knn, queries, (0.25, 0.75))))
+
+    def test_bands_for_several_alphas(self):
+        # the default k (11 here) reads different columns for each alpha
+        ds, groups = generate_synthetic(200, 20, "gaussian", 21)
+        cfg = ExperimentConfig(alphas=(0.1, 0.2), reps=1, seed=31,
+                               methods=self.BAND_METHODS)
+        prep = _prepare_tabular(ds, groups, cfg)
+        train_pos, universe = _train_universe(ds.n_rows, cfg)
+        knn = fit_arrays(ds.features[train_pos], ds.labels[train_pos], "knn")
+        assert knn.k_neighbors == 11
+        self._assert_bands_match(prep, knn, ds.features[universe], universe, cfg.alphas)
+
+    def test_featureless_graph_point_and_bands(self):
+        base = make_grid_graph(10, 7)
+        g = WeightedGraph(nodes=base.node_ids.tolist(),
+                          edges=[replace(e, features=None) for e in base.edges])
+        # at seed 2 the training labels' mean differs in the last bit when
+        # they are summed in sorted order, so the summand order shows
+        cfg = ExperimentConfig(alphas=(0.1, 0.2), reps=1, seed=2,
+                               methods=self.BAND_METHODS)
+        prep = _prepare_graph(g, cfg)
+        train_pos, universe = _train_universe(g.n_edges, cfg)
+        zeros = np.zeros((g.n_edges, 1))
+        knn = fit_arrays(zeros[train_pos], g.labels[train_pos], "knn",
+                         k_neighbors=train_pos.size)
+        point = predict_point(knn, zeros[universe])
+        assert prep.y_hat[universe].tobytes() == point.tobytes()
+        self._assert_bands_match(prep, knn, zeros[universe], universe, cfg.alphas)
 
     def test_bitwise_parity_for_every_method(self):
         ds, groups = generate_synthetic(90, 9, "gaussian", 21)

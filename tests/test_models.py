@@ -1,10 +1,19 @@
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciarith.core import LabeledSample
-from ciarith.models import fit, fit_arrays, predict_point, predict_quantiles
+from ciarith.models import (
+    fit,
+    fit_arrays,
+    neighbor_labels,
+    predict_point,
+    predict_quantiles,
+)
 
 
 def rows(X, y):
@@ -125,6 +134,81 @@ class TestQuantiles:
         m = self._four_neighbor_model()
         with pytest.raises(ValueError, match="exceeds"):
             predict_quantiles(m, np.array([0.0]), (0.9, 0.1))
+
+
+def full_sort_oracle(model, queries):
+    """Neighbour labels by a full stable argsort of every distance row."""
+    Ztr, ytr = model.params
+    Z = (np.atleast_2d(queries) - model.feat_mean) / model.feat_scale
+    d2 = (Z**2).sum(axis=1)[:, None] + (Ztr**2).sum(axis=1)[None, :] - 2.0 * (Z @ Ztr.T)
+    return ytr[np.argsort(d2, axis=1, kind="stable")[:, : model.k_neighbors]]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_oracle(model, queries, levels):
+    oracle = full_sort_oracle(model, queries)
+    assert_same_bits(neighbor_labels(model, queries), oracle)
+    single = np.ndim(queries) == 1
+    point = oracle.mean(axis=1)
+    assert_same_bits(predict_point(model, queries), point[0] if single else point)
+    ranked = np.sort(oracle, axis=1)
+    k = ranked.shape[1]
+    for lv in levels:
+        lo, hi = (ranked[:, max(1, math.ceil(k * q - 1e-12)) - 1] for q in lv)
+        got = predict_quantiles(model, queries, lv)
+        assert_same_bits(got, (lo[0], hi[0]) if single else (lo, hi))
+
+
+LEVELS = [(0.0, 1.0), (0.05, 0.95), (0.25, 0.75), (0.5, 0.5)]
+
+
+@st.composite
+def tied_knn_cases(draw):
+    """Integer features on a small grid, so distances tie at the k-th place."""
+    n_train = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 3))
+    grid = st.integers(-2, 2)
+    X = np.array(draw(st.lists(st.lists(grid, min_size=width, max_size=width),
+                               min_size=n_train, max_size=n_train)), dtype=float)
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n_train,
+                               max_size=n_train, unique=True)))
+    k = draw(st.integers(1, n_train))
+    rows = draw(st.lists(st.lists(grid, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    queries = np.array(rows, dtype=float)
+    if draw(st.booleans()):
+        queries = queries[0]
+    level = draw(st.floats(0.0, 1.0))
+    return fit_arrays(X, y, "knn", k_neighbors=k), queries, (level, 1.0)
+
+
+class TestNeighbourSelection:
+    """The partial selection equals the first k columns of a full stable sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_knn_cases())
+    def test_matches_full_sort_under_ties(self, case):
+        model, queries, drawn = case
+        assert_matches_oracle(model, queries, LEVELS + [drawn])
+
+    def test_matches_full_sort_across_query_blocks(self):
+        # more query rows than one partition block, most of them tied at the
+        # k-th distance
+        rng = np.random.default_rng(5)
+        X = rng.integers(-3, 4, size=(400, 2)).astype(float)
+        y = rng.normal(size=400)
+        queries = rng.integers(-3, 4, size=(700, 2)).astype(float)
+        for k in (1, 7, 20, 399, 400):
+            assert_matches_oracle(fit_arrays(X, y, "knn", k_neighbors=k), queries, LEVELS)
+
+    def test_non_knn_model_has_no_neighbours(self):
+        m = fit(rows([[0.0], [1.0]], [0, 1]), "linear_ls")
+        with pytest.raises(ValueError, match="neighbours"):
+            neighbor_labels(m, np.array([0.0]))
 
 
 class TestFitValidation:
