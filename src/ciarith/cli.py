@@ -6,6 +6,10 @@ Four subcommands: ``group-avg`` (category averages on tabular data),
 ``overlap-study`` (coverage gap versus group overlap on a graph).
 Each writes results.csv and SVG charts into --out and exits 0; failures
 emit one JSON line on stderr and a nonzero exit code.
+
+The first three share one command body, :func:`_cmd_experiment`; each
+supplies only an ``inputs`` function that builds its ``(data, grouping)``.
+``overlap-study`` has its own body, because its table has other columns.
 """
 
 from __future__ import annotations
@@ -85,34 +89,28 @@ def _print_results(results) -> None:
         )
 
 
-def _cmd_group_avg(args) -> int:
+def _tabular_inputs(args):
     dataset = load_tabular_csv(
         args.data, args.label, args.group_by, discretize_bins=args.discretize_bins
     )
-    groups = build_groups_by_category(dataset, args.group_by)
-    results = run_experiment(dataset, groups, _config(args))
-    paths = emit_report(results, args.out)
-    _print_results(results)
-    print(f"wrote {paths['results']}")
-    return 0
+    return dataset, build_groups_by_category(dataset, args.group_by)
 
 
-def _cmd_path_cost(args) -> int:
-    graph = load_edge_list(args.graph)
-    spec = PathSampling(n_paths=args.paths, min_path_len=args.min_len)
-    results = run_experiment(graph, spec, _config(args))
-    paths = emit_report(results, args.out)
-    _print_results(results)
-    print(f"wrote {paths['results']}")
-    return 0
+def _graph_inputs(args):
+    return (load_edge_list(args.graph),
+            PathSampling(n_paths=args.paths, min_path_len=args.min_len))
 
 
-def _cmd_simulate(args) -> int:
-    dataset, groups = generate_synthetic(
+def _synthetic_inputs(args):
+    return generate_synthetic(
         args.n, args.groups, noise_kind=args.noise, rng_seed=args.seed,
         n_features=args.features,
     )
-    results = run_experiment(dataset, groups, _config(args))
+
+
+def _cmd_experiment(args) -> int:
+    data, grouping = args.inputs(args)
+    results = run_experiment(data, grouping, _config(args))
     paths = emit_report(results, args.out)
     _print_results(results)
     print(f"wrote {paths['results']}")
@@ -151,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", type=lambda s: tuple(s.split(",")), required=True)
     p.add_argument("--discretize-bins", type=int, default=None)
     _add_common(p)
-    p.set_defaults(fn=_cmd_group_avg)
+    p.set_defaults(fn=_cmd_experiment, inputs=_tabular_inputs)
 
     p = sub.add_parser("path-cost", help="path-cost experiment on an edge-list CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--min-len", type=int, default=1)
     _add_common(p)
-    p.set_defaults(fn=_cmd_path_cost)
+    p.set_defaults(fn=_cmd_experiment, inputs=_graph_inputs)
 
     p = sub.add_parser("simulate", help="synthetic-data experiment")
     p.add_argument("--n", type=int, default=5000)
@@ -166,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=("gaussian", "student_t"), default="gaussian")
     p.add_argument("--features", type=int, default=3)
     _add_common(p)
-    p.set_defaults(fn=_cmd_simulate)
+    p.set_defaults(fn=_cmd_experiment, inputs=_synthetic_inputs)
 
     p = sub.add_parser("overlap-study", help="overlap vs coverage-gap study")
     p.add_argument("--graph", required=True)

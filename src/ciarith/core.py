@@ -8,7 +8,9 @@ The types here are immutable value objects shared by all other modules.
 
 from __future__ import annotations
 
+import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -337,3 +339,38 @@ def checked_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
         t = bad[0]
         raise ValueError(f"target {t}: lower {lower[t]} exceeds upper {upper[t]}")
     return lower, upper
+
+
+# ---------------------------------------------------------------------------
+# CSV input
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+    """Open a CSV as ``(header, rows)``: the stripped header, and an iterator
+    of ``(line_no, row)`` over the non-blank rows.
+
+    An empty file, and a row whose field count differs from the header's,
+    raise ValueError. ``line_no`` is the file's own line number, blank
+    lines included. Rows are read lazily, so a loader can check the header
+    before any row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+
+        def rows():
+            for row in reader:
+                if not any(c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+
+        yield header, rows()

@@ -17,7 +17,6 @@ sampled paths) varies rep to rep.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import math
@@ -37,6 +36,7 @@ from .cia import (
 )
 from .core import (
     IndexGroup,
+    _read_csv,
     csr_offsets,
     group_csr,
     loo_thresholds,
@@ -214,37 +214,31 @@ def load_tabular_csv(
     """Load a CSV with a header row; the response column is standardized.
 
     Grouping columns must be categorical (integer-valued or strings); pass
-    ``discretize_bins`` to bucket a continuous grouping column into
-    equal-frequency bins instead. All remaining columns must be numeric
+    ``discretize_bins`` (at least 1) to bucket a continuous grouping column
+    into equal-frequency bins instead. All remaining columns must be numeric
     and become model features (categorical grouping columns enter as
     category codes). Labels and numeric columns must be finite: a ``nan``
     or ``inf`` token raises ``ValueError`` naming its line and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        table = [row for row in reader if row and any(c.strip() for c in row)]
-    for col in [label_column, *grouping_columns]:
-        if col not in header:
-            raise ValueError(f"{path}: column {col!r} not found in header")
+    if discretize_bins is not None and discretize_bins < 1:
+        raise ValueError(f"discretize_bins must be >= 1, got {discretize_bins}")
+    with _read_csv(path) as (header, rows):
+        for col in [label_column, *grouping_columns]:
+            if col not in header:
+                raise ValueError(f"{path}: column {col!r} not found in header")
+        numbered = list(rows)
     col_idx = {c: i for i, c in enumerate(header)}
-    for line_no, row in enumerate(table, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-
-    n = len(table)
+    n = len(numbered)
     if n == 0:
         raise ValueError(f"{path}: no data rows")
+    line_nos, table = zip(*numbered)
 
     labels = np.empty(n)
     for i, row in enumerate(table):
         v = _try_float(row[col_idx[label_column]])
         if v is None or not math.isfinite(v):
             raise ValueError(
-                f"line {i + 2}: label column {label_column!r}: "
+                f"line {line_nos[i]}: label column {label_column!r}: "
                 f"{row[col_idx[label_column]]!r} is not "
                 f"{'numeric' if v is None else 'finite'}"
             )
@@ -269,7 +263,7 @@ def load_tabular_csv(
             bad = next((i for i, p in enumerate(parsed) if not math.isfinite(p)), None)
             if bad is not None:
                 raise ValueError(
-                    f"line {bad + 2}: column {col!r}: {raw[bad]!r} is not finite"
+                    f"line {line_nos[bad]}: column {col!r}: {raw[bad]!r} is not finite"
                 )
         if col in grouping_columns:
             if numeric:
@@ -296,7 +290,7 @@ def load_tabular_csv(
             if not numeric:
                 bad = next(i for i, p in enumerate(parsed) if p is None)
                 raise ValueError(
-                    f"line {bad + 2}: column {col!r}: {raw[bad]!r} is not numeric"
+                    f"line {line_nos[bad]}: column {col!r}: {raw[bad]!r} is not numeric"
                 )
             feature_cols.append(np.asarray(parsed, dtype=float))
             feature_names.append(col)
@@ -429,6 +423,10 @@ def _fit_and_predict(features, labels, train_pos, universe, config, kind, k_neig
 
 
 def _train_universe(n, config):
+    if n < 3:
+        raise ValueError(
+            f"need at least 3 rows or edges (training, calibration, test), got {n}"
+        )
     rng = np.random.default_rng(derive_seed(config.seed, _STREAM_TRAIN))
     n_train = int(n * config.train_frac)
     n_train = min(max(n_train, 1), n - 2)

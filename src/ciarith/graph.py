@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .core import IndexGroup
+from .core import IndexGroup, _read_csv
 
 __all__ = [
     "Edge",
@@ -347,13 +347,7 @@ def load_edge_list(path) -> WeightedGraph:
 
     Costs must be finite and non-negative, features and labels finite.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    with _read_csv(path) as (header, rows):
         if tuple(header[:4]) != _HEADER_FIXED:
             raise ValueError(
                 f"{path}: header must start with {','.join(_HEADER_FIXED)}, got {header[:4]}"
@@ -367,13 +361,7 @@ def load_edge_list(path) -> WeightedGraph:
 
         edges: list[Edge] = []
         seen: dict[int, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
+        for line_no, row in rows:
             eid = _parse_num(row[0], line_no, "edge_id", as_int=True)
             if eid in seen:
                 raise ValueError(

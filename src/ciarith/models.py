@@ -127,11 +127,8 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     candidates are ordered by (distance, index). The candidate set is exact
     unless another training row shares the k-th distance: a row whose count
     of ``d2 <= kth`` is not exactly k has such a tie (or a NaN) at the
-    boundary and is redone with the stable sort. With k = n_train every row
-    is sorted whole.
+    boundary and is redone with the stable sort.
     """
-    if k == d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")
     out = np.empty((d2.shape[0], k), dtype=np.intp)
     for start in range(0, d2.shape[0], _BLOCK_ROWS):
         d = d2[start:start + _BLOCK_ROWS]

@@ -2,6 +2,12 @@
 
 Output bytes are a pure function of the results (fixed float formatting,
 fixed palette, no timestamps), so identical runs produce identical files.
+
+Each table is one column spec: (CSV column, record field, parser) per
+column. The spec gives the header, the cells (floats through
+:func:`_fmt`, everything else as is) and, for results, the reader.
+:func:`emit_report` and :func:`write_overlap_report` share one writer,
+:func:`_write_report`, for the directory, results.csv and the charts.
 """
 
 from __future__ import annotations
@@ -21,28 +27,31 @@ __all__ = [
     "write_overlap_report",
 ]
 
-RESULTS_HEADER = (
-    "method",
-    "alpha",
-    "coverage_mean",
-    "coverage_std",
-    "size_mean",
-    "size_std",
-    "reps",
-    "n_infinite",
+_RESULTS_COLUMNS = (
+    ("method", "method", str),
+    ("alpha", "alpha", float),
+    ("coverage_mean", "mean_coverage", float),
+    ("coverage_std", "coverage_std", float),
+    ("size_mean", "mean_size", float),
+    ("size_std", "size_std", float),
+    ("reps", "reps", int),
+    ("n_infinite", "infinite_interval_count", int),
 )
 
-OVERLAP_HEADER = (
-    "method",
-    "alpha",
-    "min_len",
-    "delta_avg",
-    "delta_max",
-    "coverage_mean",
-    "coverage_gap",
-    "size_mean",
-    "reps",
+_OVERLAP_COLUMNS = (
+    ("method", "method", str),
+    ("alpha", "alpha", float),
+    ("min_len", "min_len", int),
+    ("delta_avg", "delta_avg", float),
+    ("delta_max", "delta_max", float),
+    ("coverage_mean", "coverage", float),
+    ("coverage_gap", "coverage_gap", float),
+    ("size_mean", "mean_size", float),
+    ("reps", "reps", int),
 )
+
+RESULTS_HEADER = tuple(name for name, _, _ in _RESULTS_COLUMNS)
+OVERLAP_HEADER = tuple(name for name, _, _ in _OVERLAP_COLUMNS)
 
 PALETTE = (
     "#1f77b4",
@@ -64,44 +73,31 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def write_results_csv(results: Sequence[MethodResult], path) -> None:
-    rows = sorted(results, key=lambda r: (r.method, r.alpha))
+def _by_method_alpha(r) -> tuple:
+    return (r.method, r.alpha)
+
+
+def _write_table(path, records, columns) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.method,
-                    _fmt(r.alpha),
-                    _fmt(r.mean_coverage),
-                    _fmt(r.coverage_std),
-                    _fmt(r.mean_size),
-                    _fmt(r.size_std),
-                    r.reps,
-                    r.infinite_interval_count,
-                ]
-            )
+        writer.writerow([name for name, _, _ in columns])
+        for r in records:
+            writer.writerow([
+                _fmt(getattr(r, fld)) if parse is float else getattr(r, fld)
+                for _, fld, parse in columns
+            ])
+
+
+def write_results_csv(results: Sequence[MethodResult], path) -> None:
+    _write_table(path, sorted(results, key=_by_method_alpha), _RESULTS_COLUMNS)
 
 
 def read_results_csv(path) -> list[MethodResult]:
-    out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                MethodResult(
-                    method=row["method"],
-                    alpha=float(row["alpha"]),
-                    mean_coverage=float(row["coverage_mean"]),
-                    coverage_std=float(row["coverage_std"]),
-                    mean_size=float(row["size_mean"]),
-                    size_std=float(row["size_std"]),
-                    reps=int(row["reps"]),
-                    infinite_interval_count=int(row["n_infinite"]),
-                )
-            )
-    return out
+        return [
+            MethodResult(**{fld: parse(row[name]) for name, fld, parse in _RESULTS_COLUMNS})
+            for row in csv.DictReader(fh)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +214,7 @@ def _chart(
 
 def render_coverage_chart(results: Sequence[MethodResult]) -> str:
     series: dict[str, list[tuple[float, float]]] = {}
-    for r in sorted(results, key=lambda r: (r.method, r.alpha)):
+    for r in sorted(results, key=_by_method_alpha):
         series.setdefault(r.method, []).append((1.0 - r.alpha, r.mean_coverage))
     return _chart(
         series,
@@ -231,7 +227,7 @@ def render_coverage_chart(results: Sequence[MethodResult]) -> str:
 
 def render_size_chart(results: Sequence[MethodResult]) -> str:
     series: dict[str, list[tuple[float, float]]] = {}
-    for r in sorted(results, key=lambda r: (r.method, r.alpha)):
+    for r in sorted(results, key=_by_method_alpha):
         series.setdefault(r.method, []).append((r.mean_coverage, r.mean_size))
     return _chart(
         series,
@@ -253,51 +249,35 @@ def render_overlap_chart(rows: Sequence[OverlapStudyRow]) -> str:
     )
 
 
+def _write_report(out_dir, records, columns, charts) -> dict[str, str]:
+    """Write ``records`` as results.csv and each ``(key, file name, render)``
+    chart of ``charts`` into ``out_dir``; returns the file paths by key."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {"results": os.path.join(out_dir, "results.csv")}
+    _write_table(paths["results"], records, columns)
+    for key, name, render in charts:
+        paths[key] = os.path.join(out_dir, name)
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            fh.write(render(records))
+    return paths
+
+
 def emit_report(results: Sequence[MethodResult], out_dir) -> dict[str, str]:
     """Write results.csv plus the two standard charts; returns file paths."""
     if not results:
         raise ValueError("no results to report")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "results": os.path.join(out_dir, "results.csv"),
-        "coverage_chart": os.path.join(out_dir, "coverage_vs_nominal.svg"),
-        "size_chart": os.path.join(out_dir, "size_vs_coverage.svg"),
-    }
-    write_results_csv(results, paths["results"])
-    with open(paths["coverage_chart"], "w", encoding="utf-8") as fh:
-        fh.write(render_coverage_chart(results))
-    with open(paths["size_chart"], "w", encoding="utf-8") as fh:
-        fh.write(render_size_chart(results))
-    return paths
+    ordered = sorted(results, key=_by_method_alpha)
+    return _write_report(out_dir, ordered, _RESULTS_COLUMNS, (
+        ("coverage_chart", "coverage_vs_nominal.svg", render_coverage_chart),
+        ("size_chart", "size_vs_coverage.svg", render_size_chart),
+    ))
 
 
 def write_overlap_report(rows: Sequence[OverlapStudyRow], out_dir) -> dict[str, str]:
     """Write the overlap study table (as results.csv) and its chart."""
     if not rows:
         raise ValueError("no study rows to report")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "results": os.path.join(out_dir, "results.csv"),
-        "overlap_chart": os.path.join(out_dir, "overlap_gap.svg"),
-    }
     ordered = sorted(rows, key=lambda r: (r.method, r.alpha, r.min_len))
-    with open(paths["results"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OVERLAP_HEADER)
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.method,
-                    _fmt(r.alpha),
-                    r.min_len,
-                    _fmt(r.delta_avg),
-                    _fmt(r.delta_max),
-                    _fmt(r.coverage),
-                    _fmt(r.coverage_gap),
-                    _fmt(r.mean_size),
-                    r.reps,
-                ]
-            )
-    with open(paths["overlap_chart"], "w", encoding="utf-8") as fh:
-        fh.write(render_overlap_chart(rows))
-    return paths
+    return _write_report(out_dir, ordered, _OVERLAP_COLUMNS, (
+        ("overlap_chart", "overlap_gap.svg", render_overlap_chart),
+    ))

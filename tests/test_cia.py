@@ -24,7 +24,9 @@ from ciarith.core import (
     group_csr,
     score_threshold,
 )
+from ciarith.graph import sample_path_groups
 from ciarith.scoring import split_group_score
+from conftest import make_grid_graph
 
 
 def sample(idx, y=0.0, pred=0.0, lo=None, hi=None):
@@ -275,6 +277,41 @@ class TestRankSwap:
                 if v.group_id != target
             ]
             assert before == after  # bit-exact, zero tolerance
+
+
+    def test_swap_on_overlapping_paths_moves_only_intersecting_scores(self):
+        # Theorem 2's slack: swapping the target's sides moves only the scores
+        # of groups that share a member with it, at most delta_max * G of them
+        graph = make_grid_graph(5)
+        rng = np.random.default_rng(34)
+        ss = SampleSet([
+            sample(e.edge_id, y=float(rng.normal()), pred=float(rng.normal()))
+            for e in graph.edges
+        ])
+        n_moved = 0
+        for trial in range(25):
+            paths = sample_path_groups(graph, 30, rng_seed=trial, min_path_len=2)
+            groups = [p.as_index_group(g) for g, p in enumerate(paths)]
+            assignment = symmetric_split([e.edge_id for e in graph.edges],
+                                         rng_seed=100 + trial, mode="bernoulli")
+            target = int(rng.integers(len(groups)))
+            tv = split_groups(groups, assignment)[target]
+            swapped = SplitAssignment(
+                cal=(assignment.cal - set(tv.cal_members)) | set(tv.test_members),
+                test=(assignment.test - set(tv.test_members)) | set(tv.cal_members),
+            )
+            before, after = (
+                [split_group_score(ss.subset(v.cal_members)) for v in split_groups(groups, a)]
+                for a in (assignment, swapped)
+            )
+            moved = {g for g in range(len(groups)) if g != target and before[g] != after[g]}
+            for g, grp in enumerate(groups):
+                if not grp.members & groups[target].members:
+                    assert before[g] == after[g]  # bit-exact, zero tolerance
+            # delta_max * G is the largest count of other groups meeting one group
+            assert len(moved) <= round(overlap_delta_max(groups) * len(groups))
+            n_moved += len(moved)
+        assert n_moved > 0  # the paths overlap, so some scores do move
 
 
 class TestStrataSpec:

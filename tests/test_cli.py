@@ -159,11 +159,23 @@ class TestParsing:
         (["simulate", "--groups", "0"], "n_groups"),
         (["simulate", "--groups", "-3"], "n_groups"),
         (["simulate", "--features", "0"], "n_features"),
+        # training, calibration and test need a row each
+        (["simulate", "--n", "1", "--groups", "1"], "(training, calibration, test), got 1"),
+        (["simulate", "--n", "2", "--groups", "1"], "(training, calibration, test), got 2"),
+        (["group-avg", "--data", "two_rows.csv"], "(training, calibration, test), got 2"),
+        (["group-avg", "--discretize-bins", "0"], "discretize_bins must be >= 1, got 0"),
+        (["group-avg", "--discretize-bins", "-3"], "discretize_bins must be >= 1, got -3"),
     ])
     def test_bad_sizes_fail_naming_the_field(self, argv, field, grid_graph_csv,
-                                             tmp_path, capsys):
+                                             tiny_tabular_csv, tmp_path, capsys):
         if argv[0] == "path-cost":
             argv = argv + ["--graph", str(grid_graph_csv(k=4))]
+        elif argv[0] == "group-avg":  # --data names a file in tmp_path
+            lines = tiny_tabular_csv.read_text().splitlines(keepends=True)
+            (tmp_path / "two_rows.csv").write_text("".join(lines[:3]))
+            argv = [argv[0], "--data", tiny_tabular_csv.name, "--label", "y",
+                    "--group-by", "cat", *argv[1:]]
+            argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         else:  # the case's own value comes last, so it wins
             argv = [argv[0], "--n", "60", "--groups", "6", *argv[1:]]
         rc = run_cli(*argv, "--reps", "2", "--out", str(tmp_path / "x"))

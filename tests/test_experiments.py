@@ -125,6 +125,28 @@ class TestLoadTabularCsv:
         with pytest.raises(ValueError, match=where):
             load_tabular_csv(p, "y", ["g"])
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("y,a,g\n1.0,2.0,1\n\n\n3.0,nan,2\n", "line 5: column 'a': 'nan' is not finite"),
+            ("y,a,g\n1.0,2.0,1\n\n\nxx,2.0,2\n", "line 5: label column 'y': 'xx'"),
+            ("y,a,g\n1.0,2.0,1\n\n3.0,bad,2\n", "line 4: column 'a': 'bad' is not numeric"),
+            ("y,a,g\n1.0,2.0,1\n \n3.0,2\n", "line 4: expected 3 fields, got 2"),
+        ],
+    )
+    def test_blank_lines_keep_the_files_own_line_numbers(self, tmp_path, text, where):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_tabular_csv(p, "y", ["g"])
+
+    @pytest.mark.parametrize("text, what", [("", "empty file"), ("y,g\n\n", "no data rows")])
+    def test_file_without_rows_rejected(self, tmp_path, text, what):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=what):
+            load_tabular_csv(p, "y", ["g"])
+
     def test_constant_labels_zeroed_with_diagnostic(self, tmp_path, caplog):
         p = tmp_path / "d.csv"
         p.write_text("y,g\n2,0\n2,1\n2,0\n")
@@ -149,6 +171,13 @@ class TestLoadTabularCsv:
             load_tabular_csv(p, "y", ["v"])
         ds = load_tabular_csv(p, "y", ["v"], discretize_bins=2)
         assert len(set(ds.group_values["v"])) == 2
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_discretize_bins_below_one_rejected(self, tmp_path, bins):
+        p = tmp_path / "d.csv"
+        p.write_text("y,v\n1,0.25\n2,0.5\n3,0.75\n4,0.9\n")
+        with pytest.raises(ValueError, match=f"discretize_bins must be >= 1, got {bins}"):
+            load_tabular_csv(p, "y", ["v"], discretize_bins=bins)
 
 
 class TestTabularDatasetValidation:
@@ -236,6 +265,15 @@ class TestRunExperiment:
         assert res.mean_coverage == 1.0
         assert math.isinf(res.mean_size)
         assert res.infinite_interval_count > 0
+
+    def test_fewer_than_three_rows_or_edges_rejected_before_fitting(self):
+        cfg = ExperimentConfig(alphas=(0.2,), reps=1, seed=1, methods=("cia_split",))
+        ds = TabularDataset(features=np.zeros((2, 1)), labels=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"at least 3 rows or edges .*, got 2"):
+            run_experiment(ds, [IndexGroup(0, frozenset({0, 1}))], cfg)
+        graph = WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0, label=1.0)])
+        with pytest.raises(ValueError, match=r"at least 3 rows or edges .*, got 1"):
+            run_experiment(graph, PathSampling(n_paths=1), cfg)
 
     def test_reproducible(self):
         ds, groups = generate_synthetic(300, 20, "gaussian", 9)

@@ -408,6 +408,24 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match="header"):
             load_edge_list(path)
 
+    def test_header_checked_before_rows(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("id,from,to,w\n0,1\n")
+        with pytest.raises(ValueError, match="header must start with"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [("0,1,2,1.0,2.0\n\n\n1,2,3,1.0,nan\n", "line 5: column 'feat_0': 'nan' is not finite"),
+         ("0,1,2,1.0,2.0\n \n1,2,3\n", "line 4: expected 5 fields, got 3"),
+         ("0,1,2,1.0,2.0\n\n0,2,3,1.0,1.0\n", r"line 4: duplicate edge_id 0 \(first seen line 2\)")],
+    )
+    def test_blank_lines_keep_the_files_own_line_numbers(self, tmp_path, rows, where):
+        path = tmp_path / "blank.csv"
+        path.write_text("edge_id,src,dst,cost,feat_0\n" + rows)
+        with pytest.raises(ValueError, match=where):
+            load_edge_list(path)
+
     def test_unlabeled_edges_have_empty_label_cell(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("edge_id,src,dst,cost,label\n0,1,2,1.0,0.5\n1,2,1,1.0,\n")
