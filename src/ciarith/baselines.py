@@ -13,6 +13,13 @@ directly. The ``*_predict`` functions are thin adapters over them: they
 gather the columns of :class:`LabeledSample` records once per call, run
 the core for one target and wrap the result in an
 :class:`IntervalPrediction`.
+
+Group sampling draws each target's calibration groups from that target's
+own random stream. The harness hands the core every target of a split at
+once, with the streams seeded in one batch: each is still
+``np.random.default_rng(seed)``'s permutation for the target's derived
+seed, so the draws, and every threshold, are those of a fresh generator
+per target.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .cia import _prediction, interval_from_threshold
 from .core import (
     IntervalPrediction,
     LabeledSample,
+    _ceil_rank,
     checked_bounds,
     collapse_crossed,
     extract_column,
@@ -68,35 +76,57 @@ def _point_interval(group_id: int, alpha: float) -> IntervalPrediction:
 
 def group_sampling_threshold(
     cols: Sequence[np.ndarray],
-    m: int,
+    sizes,
     alpha: float,
     score_kind: str,
     K: int | None,
-    rng: np.random.Generator,
-) -> float:
-    """Score threshold from K disjoint size-m groups drawn from calibration.
+    permutation: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """Each target's score threshold from K disjoint groups drawn from calibration.
 
     ``cols`` is (y, point_pred) for the split kind or (y, quant_lo,
-    quant_hi) for the quantile kind. K defaults to floor(n_cal / m); a
-    larger request is reduced with a diagnostic since groups are drawn
-    without replacement.
+    quant_hi) for the quantile kind, over the n_cal calibration rows.
+    Target t has test size ``sizes[t]`` = m and draws its K size-m groups
+    as the first K·m entries of ``permutation(t)``, a permutation of
+    range(n_cal). K defaults to floor(n_cal / m); a larger request is
+    reduced with a diagnostic since groups are drawn without replacement.
+
+    Targets are taken one test-size class at a time: the class's draws
+    fill one (targets x K x m) index array, the columns are gathered once,
+    and each row's scores and threshold equal the one-target computation
+    bit for bit.
     """
     score, _ = scoring.score_kind(score_kind)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    sizes = np.asarray(sizes, dtype=np.int64)
     n_cal = cols[0].size
-    max_k = n_cal // m
-    if max_k == 0:
+    short = np.flatnonzero(sizes > n_cal)
+    if short.size:
         raise ValueError(
-            f"group sampling needs at least {m} calibration samples, have {n_cal}"
+            f"group sampling needs at least {sizes[short[0]]} calibration samples, "
+            f"have {n_cal}"
         )
-    if K is None:
-        K = max_k
-    elif K > max_k:
-        logger.warning("group sampling: K reduced from %d to %d", K, max_k)
-        K = max_k
-    elif K < 1:
+    if K is not None and K < 1:
         raise ValueError("K must be at least 1")
-    chunks = rng.permutation(n_cal)[: K * m].reshape(K, m)
-    return score_threshold(score(*(c[chunks] for c in cols)), alpha).value
+    q = np.empty(sizes.size)
+    for m in np.unique(sizes).tolist():
+        targets = np.flatnonzero(sizes == m)
+        k_groups = n_cal // m
+        if K is not None:
+            if K > k_groups:
+                logger.warning("group sampling: K reduced from %d to %d", K, k_groups)
+            k_groups = min(K, k_groups)
+        rows = np.empty((targets.size, k_groups * m), dtype=np.int64)
+        for r, t in enumerate(targets.tolist()):
+            rows[r] = permutation(t)[: k_groups * m]
+        scores = score(*(c[rows.reshape(targets.size, k_groups, m)] for c in cols))
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        k = _ceil_rank(k_groups, alpha)
+        q[targets] = (math.inf if k > k_groups
+                      else np.partition(scores, k - 1, axis=1)[:, k - 1])
+    return q
 
 
 def group_sampling_predict(
@@ -122,7 +152,10 @@ def group_sampling_predict(
     _, fields = scoring.score_kind(score_kind)
     cols = extract_column(cal_samples, *fields)
     sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
-    q = group_sampling_threshold(cols, m, alpha, score_kind, K, np.random.default_rng(rng_seed))
+    rng = np.random.default_rng(rng_seed)
+    q = group_sampling_threshold(
+        cols, [m], alpha, score_kind, K, lambda t: rng.permutation(len(cal_samples))
+    )
     return _prediction(group_id, alpha, *interval_from_threshold(q, score_kind, sums))
 
 

@@ -351,10 +351,10 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
     """Open a CSV as ``(header, rows)``: the stripped header, and an iterator
     of ``(line_no, row)`` over the non-blank rows.
 
-    An empty file, and a row whose field count differs from the header's,
-    raise ValueError. ``line_no`` is the file's own line number, blank
-    lines included. Rows are read lazily, so a loader can check the header
-    before any row.
+    An empty file, a header that repeats a column name, and a row whose
+    field count differs from the header's raise ValueError. ``line_no`` is
+    the file's own line number, blank lines included. Rows are read
+    lazily, so a loader can check the header before any row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -362,6 +362,14 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        first: dict[str, int] = {}
+        for col, name in enumerate(header, start=1):
+            if name in first:
+                raise ValueError(
+                    f"{path}: column {name!r} repeated in the header "
+                    f"(columns {first[name]} and {col})"
+                )
+            first[name] = col
 
         def rows():
             for row in reader:

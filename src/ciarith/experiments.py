@@ -87,8 +87,138 @@ _STREAM_PATHS = 2
 _STREAM_GSAMP = 3
 
 
+# numpy's SeedSequence hash, whose output NEP 19 keeps stable across numpy
+# versions: a pool of 4 words mixed from the 32-bit entropy words, then read
+# out through a second hash. Computed here in uint32 array arithmetic, one
+# row of entropy words per seed, so many seeds come from one pass.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# PCG64 seeding: the 128-bit LCG multiplier and modulus mask
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) words of n successive hash steps."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)
+    return h[:-1], h[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_state(words: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, np.uint32)`` for each row e.
+
+    ``words`` is an (n, w) uint32 array of entropy words. numpy hashes a
+    missing pool word as a zero word, so up to 4 words, trailing zero
+    words do not change the result.
+    """
+    n, w = words.shape
+    # one hash step per pool word, per (source, other destination) pair,
+    # and per (entropy word beyond the pool, destination) pair
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(w, _POOL_SIZE))
+    pool = np.zeros((n, _POOL_SIZE), dtype=np.uint32)
+    pool[:, :w] = words[:, :_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        steps = slice(step, step + len(dst))
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xor[steps], mult[steps]))
+        step += len(dst)
+    for src in range(_POOL_SIZE, w):
+        steps = slice(step, step + _POOL_SIZE)
+        pool = _mix(pool, _hash(words[:, src, None], xor[steps], mult[steps]))
+        step += _POOL_SIZE
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, n_words)
+    return _hash(pool[:, np.arange(n_words) % _POOL_SIZE], xor, mult)
+
+
+def _int_words(x: int) -> list[int]:
+    """numpy's split of a seed int into little-endian 32-bit words; 0 is [0]."""
+    if x < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {x}")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _derived_seed_words(prefix: Sequence[int], n: int) -> np.ndarray:
+    """(low, high) 32-bit words of ``derive_seed(*prefix, t)`` for t < n."""
+    head = [w for x in prefix for w in _int_words(x)]
+    words = np.empty((n, len(head) + 1), dtype=np.uint32)
+    words[:, :-1] = head
+    words[:, -1] = np.arange(n)  # t < 2**32 is one word
+    return _seed_state(words, 2)
+
+
 def derive_seed(*entropy: int) -> int:
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
+    """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, as an int.
+
+    Every stream of an experiment is seeded this way. It is the one-row
+    case of the hash that derives in one batch the seeds of all reps of a
+    run, and of all targets of a group-sampling call
+    (:func:`_derived_seed_words`), so batched and single seeds, and the
+    streams they start, are numpy's own and unchanged. Entropy must be
+    non-negative.
+    """
+    words = np.array([[w for x in entropy for w in _int_words(x)]], dtype=np.uint32)
+    return int(_as_uint64(_seed_state(words, 2))[0, 0])
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """Each (low, high) pair of 32-bit words along the rows as one uint64."""
+    words = words.astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+
+
+def _pcg64_states(seed_words: np.ndarray) -> list[tuple[int, int]]:
+    """``PCG64(seed).state["state"]`` as (state, inc) for each seed, given
+    as its (low, high) words.
+
+    A seed below 2**32 is the one entropy word [low]; its zero high word
+    hashes the same. The seed sequence yields 4 uint64 words, seed (0, 1)
+    and stream (2, 3) as 128-bit ints, and the LCG takes two steps from 0.
+    """
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in _as_uint64(_seed_state(seed_words, 8)).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _seeded_permutations(seed_words: np.ndarray, n: int):
+    """``draw(t)``: ``np.random.default_rng(seed t).permutation(n)``, where
+    seed t has the (low, high) words of row t, from one reused generator."""
+    bit_generator = np.random.PCG64(0)  # its state is replaced on every draw
+    rng = np.random.Generator(bit_generator)
+    states = _pcg64_states(seed_words)
+
+    def draw(t: int) -> np.ndarray:
+        state, inc = states[t]
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return rng.permutation(n)
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -119,6 +249,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown split mode {self.split_mode!r}")
         if self.knn_k is not None and self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -341,6 +473,8 @@ def generate_synthetic(
     for field, value in (("n_groups", n_groups), ("n_features", n_features)):
         if value < 1:
             raise ValueError(f"{field} must be >= 1, got {value}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     if n_groups > n_samples:
         raise ValueError("n_groups cannot exceed n_samples")
     if noise_kind not in ("gaussian", "student_t"):
@@ -446,6 +580,13 @@ class _Session:
         self.graph = graph
         self.path_spec = path_spec
         self.collect_deltas = collect_deltas
+        # derive_seed(seed, stream, rep) for every rep, one batch per stream
+        self.rep_seeds = {
+            stream: _as_uint64(
+                _derived_seed_words((config.seed, stream), config.reps)
+            )[:, 0].tolist()
+            for stream in (_STREAM_SPLIT, _STREAM_PATHS)
+        }
 
     def _groups_for_rep(self, rep: int) -> tuple[np.ndarray, np.ndarray]:
         """This rep's groups as CSR (offsets, members), members sorted."""
@@ -455,7 +596,7 @@ class _Session:
         paths = sample_path_groups(
             self.graph,
             self.path_spec.n_paths,
-            derive_seed(self.config.seed, _STREAM_PATHS, rep),
+            self.rep_seeds[_STREAM_PATHS][rep],
             min_path_len=self.path_spec.min_path_len,
             cost_fn=prep.cost,
         )
@@ -506,7 +647,7 @@ class _Session:
         """Split the rep's CSR groups into calibration and test sides."""
         config, prep = self.config, self.prep
         assignment = symmetric_split(
-            prep.universe.tolist(), derive_seed(config.seed, _STREAM_SPLIT, rep),
+            prep.universe.tolist(), self.rep_seeds[_STREAM_SPLIT][rep],
             config.split_mode,
         )
         is_cal = np.zeros(prep.y.size, dtype=bool)
@@ -555,16 +696,14 @@ class _Session:
                  for m in np.unique(sizes).tolist()}
             return baselines.bonferroni_interval(q, split.test, cols[1:], kind)
         if method.startswith("group_"):
-            mseed = METHOD_IDS.index(method)
-            q = np.array([
-                baselines.group_sampling_threshold(
-                    cal_cols, m, alpha, kind, None,
-                    np.random.default_rng(
-                        derive_seed(self.config.seed, _STREAM_GSAMP, rep, mseed, pos)
-                    ),
-                )
-                for pos, m in enumerate(sizes.tolist())
-            ])
+            # target t draws from default_rng(derive_seed(seed, stream, rep, method, t))
+            seeds = _derived_seed_words(
+                (self.config.seed, _STREAM_GSAMP, rep, METHOD_IDS.index(method)), sizes.size
+            )
+            q = baselines.group_sampling_threshold(
+                cal_cols, sizes, alpha, kind, None,
+                _seeded_permutations(seeds, split.cal_rows.size),
+            )
         elif method.endswith("_strat"):
             q = stratified_thresholds(
                 scores, np.diff(split.cal[0]), sizes, split.targets, split.strata, alpha

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from ciarith import scoring
 from ciarith.baselines import (
     IQR_TO_SD,
     bonferroni_predict,
     group_sampling_predict,
+    group_sampling_threshold,
     normal_hetero_iqr_predict,
     normal_homoscedastic_predict,
 )
-from ciarith.core import LabeledSample
+from ciarith.core import LabeledSample, score_threshold
+from ciarith.experiments import _seeded_permutations, derive_seed
 
 # alpha chosen so z_{1-alpha/2} = 1 exactly (two-sided standard-normal level)
 ALPHA_Z1 = 0.31731050786291415
@@ -81,6 +84,99 @@ class TestGroupSampling:
         iv = group_sampling_predict(cal, test, 0.5, "cqr", rng_seed=3)
         # every sampled group scores -1; interval is [0-(-1), 2+(-1)]
         assert (iv.lower, iv.upper) == (1.0, 1.0)
+
+
+def per_target_thresholds(cols, sizes, alpha, kind, K, seeds):
+    """The one-target-at-a-time loop the batched core replaced: a fresh
+    generator, permutation and ``score_threshold`` per target."""
+    score, _ = scoring.score_kind(kind)
+    n_cal = cols[0].size
+    out = []
+    for m, seed in zip(sizes, seeds):
+        if n_cal // m == 0:
+            raise ValueError("too few calibration samples")
+        if K is not None and K < 1:
+            raise ValueError("K below 1")
+        k = n_cal // m if K is None else min(K, n_cal // m)
+        chunks = np.random.default_rng(seed).permutation(n_cal)[: k * m].reshape(k, m)
+        out.append(score_threshold(score(*(c[chunks] for c in cols)), alpha).value)
+    return np.array(out)
+
+
+class TestGroupSamplingBatched:
+    """``group_sampling_threshold`` over many targets against the per-target loop."""
+
+    def _cols(self, rng, n_cal, kind):
+        y = rng.normal(size=n_cal)
+        if kind == "split":
+            return [y, y + rng.normal(scale=0.5, size=n_cal)]
+        lo = y - rng.uniform(0.0, 2.0, n_cal)
+        return [y, lo, lo + rng.uniform(0.0, 3.0, n_cal)]
+
+    def _both(self, cols, sizes, alpha, kind, K, seeds):
+        """(batched through the reused generator, batched through fresh
+        generators, per-target loop); a ValueError of any side propagates."""
+        words = np.array([[s & 0xFFFFFFFF, s >> 32] for s in seeds], dtype=np.uint32)
+        n_cal = cols[0].size
+        return (
+            group_sampling_threshold(cols, sizes, alpha, kind, K,
+                                     _seeded_permutations(words, n_cal)),
+            group_sampling_threshold(
+                cols, sizes, alpha, kind, K,
+                lambda t: np.random.default_rng(seeds[t]).permutation(n_cal)),
+            per_target_thresholds(cols, sizes, alpha, kind, K, seeds),
+        )
+
+    @pytest.mark.parametrize("kind", ["split", "cqr"])
+    @pytest.mark.parametrize("K", [None, 1, 3, 1000])
+    def test_mixed_sizes_match_per_target_loop_bitwise(self, kind, K):
+        rng = np.random.default_rng(31)
+        groups_per_target = []
+        for trial in range(12):
+            n_cal = int(rng.integers(20, 90))
+            sizes = rng.integers(1, 12, size=int(rng.integers(1, 40)))
+            alpha = float(rng.choice([0.05, 0.1, 0.3, 0.7]))
+            seeds = [derive_seed(trial, 3, 1, t) for t in range(sizes.size)]
+            seeds[0] = 2**64 - 1  # a two-word seed with every bit set
+            got, fresh, want = self._both(self._cols(rng, n_cal, kind), sizes, alpha, kind, K,
+                                          seeds)
+            assert got.tobytes() == want.tobytes() == fresh.tobytes(), (trial, K)
+            groups_per_target.extend((n_cal // sizes).tolist())
+        # K = 3 is above floor(n_cal / m) for some targets and below it for others
+        assert min(groups_per_target) < 3 < max(groups_per_target)
+
+    def test_infinite_thresholds_where_k_exceeds_the_draws(self):
+        rng = np.random.default_rng(32)
+        cols = self._cols(rng, 30, "split")
+        got, _, want = self._both(cols, [10, 2, 10], 0.1, "split", None, [4, 5, 6])
+        # three groups of 10 cannot reach rank ceil(4 * 0.9) = 4; fifteen of 2 can
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got).tolist() == [True, False, True]
+
+    def test_size_above_calibration_count_raises(self):
+        rng = np.random.default_rng(33)
+        cols = self._cols(rng, 8, "split")
+        with pytest.raises(ValueError):
+            per_target_thresholds(cols, [3, 9], 0.2, "split", None, [1, 2])
+        with pytest.raises(ValueError, match="at least 9 calibration samples, have 8"):
+            group_sampling_threshold(cols, [3, 9], 0.2, "split", None,
+                                     lambda t: np.random.default_rng(t).permutation(8))
+
+    @pytest.mark.parametrize("kind", ["split", "cqr"])
+    def test_non_finite_score_raises(self, kind):
+        cols = self._cols(np.random.default_rng(34), 12, kind)
+        cols[0][5] = np.inf  # sizes 1 and 4 draw every calibration row
+        with pytest.raises(ValueError, match="finite"):
+            per_target_thresholds(cols, [1, 4], 0.2, kind, None, [7, 8])
+        with pytest.raises(ValueError, match="finite"):
+            group_sampling_threshold(cols, [1, 4], 0.2, kind, None,
+                                     lambda t: np.random.default_rng(t).permutation(12))
+
+    def test_k_below_one_raises(self):
+        cols = self._cols(np.random.default_rng(35), 10, "split")
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            group_sampling_threshold(cols, [2], 0.2, "split", 0,
+                                     lambda t: np.random.default_rng(t).permutation(10))
 
 
 class TestNormalHomoscedastic:

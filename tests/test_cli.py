@@ -165,6 +165,9 @@ class TestParsing:
         (["group-avg", "--data", "two_rows.csv"], "(training, calibration, test), got 2"),
         (["group-avg", "--discretize-bins", "0"], "discretize_bins must be >= 1, got 0"),
         (["group-avg", "--discretize-bins", "-3"], "discretize_bins must be >= 1, got -3"),
+        # simulate draws its data from --seed before the config is built
+        (["simulate", "--seed", "-1"], "rng_seed must be >= 0, got -1"),
+        (["group-avg", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_sizes_fail_naming_the_field(self, argv, field, grid_graph_csv,
                                              tiny_tabular_csv, tmp_path, capsys):

@@ -140,6 +140,12 @@ class TestLoadTabularCsv:
         with pytest.raises(ValueError, match=where):
             load_tabular_csv(p, "y", ["g"])
 
+    def test_repeated_column_name_rejected_with_both_positions(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("y,a,a,g\n1.0,2.0,5.0,1\n2.0,3.0,6.0,2\n3.0,1.0,7.0,1\n")
+        with pytest.raises(ValueError, match=r"'a' repeated in the header \(columns 2 and 3\)"):
+            load_tabular_csv(p, "y", ["g"])
+
     @pytest.mark.parametrize("text, what", [("", "empty file"), ("y,g\n\n", "no data rows")])
     def test_file_without_rows_rejected(self, tmp_path, text, what):
         p = tmp_path / "d.csv"
@@ -401,6 +407,13 @@ class TestConfigValidation:
     def test_knn_k_positive(self, k):
         with pytest.raises(ValueError, match="knn_k"):
             ExperimentConfig(alphas=(0.1,), knn_k=k)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_seed_non_negative(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            ExperimentConfig(alphas=(0.1,), seed=seed)
+        with pytest.raises(ValueError, match=f"rng_seed must be >= 0, got {seed}"):
+            generate_synthetic(50, 5, rng_seed=seed)
 
     @pytest.mark.parametrize("field, kw", [
         ("n_paths", dict(n_paths=0)),

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -83,15 +84,13 @@ class TestCharts:
     def test_emit_report_writes_three_files(self, tmp_path):
         paths = emit_report(self._results(), tmp_path / "out")
         for p in paths.values():
-            assert (lambda q: q.exists() and q.stat().st_size > 0)(
-                __import__("pathlib").Path(p)
-            )
+            assert Path(p).exists() and Path(p).stat().st_size > 0
 
     def test_emit_report_deterministic_bytes(self, tmp_path):
         a = emit_report(self._results(), tmp_path / "a")
         b = emit_report(self._results(), tmp_path / "b")
         for key in a:
-            assert open(a[key], "rb").read() == open(b[key], "rb").read()
+            assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes()
 
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no results"):
@@ -109,7 +108,7 @@ class TestOverlapReport:
             for m in (1, 3, 5)
         ]
         paths = write_overlap_report(rows, tmp_path / "study")
-        text = open(paths["results"]).read()
+        text = Path(paths["results"]).read_text()
         assert text.splitlines()[0] == (
             "method,alpha,min_len,delta_avg,delta_max,coverage_mean,"
             "coverage_gap,size_mean,reps"
