@@ -10,9 +10,12 @@ Each family has an array-level core that bounds many targets at once
 :func:`~ciarith.cia.interval_from_threshold`, :func:`normal_interval`,
 :func:`bonferroni_interval`); the experiment harness calls the cores
 directly. The ``*_predict`` functions are thin adapters over them: they
-gather the columns of :class:`LabeledSample` records once per call, run
-the core for one target and wrap the result in an
-:class:`IntervalPrediction`.
+gather the fields of their calibration and test records with
+:func:`~ciarith.core.extract_column`, run the core for one target and
+wrap the result in an :class:`IntervalPrediction`. Records from
+:meth:`SampleSet.subset <ciarith.core.SampleSet.subset>` are gathered by
+position from the set's columns; a plain sequence is read record by
+record.
 
 Group sampling draws each target's calibration groups from that target's
 own random stream. The harness hands the core every target of a split at
@@ -210,10 +213,10 @@ def normal_homoscedastic_predict(
     Valid only when residuals really are i.i.d. zero-mean normal; heavy
     tails or model misspecification typically push coverage below target.
     """
-    sigma = pooled_residual_sigma(*extract_column(cal_samples, "label", "point_pred"))
     m = len(target_test_samples)
     if m == 0:
         return _point_interval(group_id, alpha)
+    sigma = pooled_residual_sigma(*extract_column(cal_samples, "label", "point_pred"))
     center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
     return _prediction(group_id, alpha, *normal_interval(center, np.sqrt([m]) * sigma, alpha))
 

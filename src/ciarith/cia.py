@@ -14,15 +14,18 @@ The module has two layers. The array engine (:func:`interval_from_threshold`,
 :func:`stratified_thresholds`, with the leave-one-out thresholds of
 :mod:`ciarith.core`) computes the bounds of every target of a split at
 once; the experiment harness calls it directly. The record adapters
-(:func:`cia_predict`, :func:`stratified_cia_predict`) gather the columns
-of :class:`LabeledSample` records once per call, run the engine for one
-target, and wrap the result in an :class:`IntervalPrediction`.
+(:func:`cia_predict`, :func:`stratified_cia_predict`) gather the fields
+of the calibration and test members, run the engine for one target, and
+wrap the result in an :class:`IntervalPrediction`. From a
+:class:`~ciarith.core.SampleSet` the fields are gathered by position
+from the set's columns; another mapping is read record by record.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,11 +38,11 @@ from .core import (
     SplitAssignment,
     checked_bounds,
     collapse_crossed,
-    extract_column,
+    columns_at,
+    csr_offsets,
     group_csr,
     loo_thresholds,
     per_group,
-    samples_at,
 )
 
 __all__ = [
@@ -335,18 +338,19 @@ def stratified_thresholds(
 
 
 def _record_pool(views, samples, target_group, score_kind):
-    """The target's view, the other views, their calibration scores, and
-    the target's test-side sums as the rows of a (fields x 1) array."""
+    """The target's view, the other views' calibration sizes and scores,
+    and the target's test-side sums as the rows of a (fields x 1) array."""
     target = next((v for v in views if v.group_id == target_group), None)
     if target is None:
         raise ValueError(f"target group {target_group} not found among views")
-    others = [v for v in views if v.group_id != target_group]
+    others = [v.cal_members for v in views if v.group_id != target_group]
     score, fields = scoring.score_kind(score_kind)
-    offsets, members = group_csr(v.cal_members for v in others)
-    cols = extract_column(samples_at(samples, members.tolist()), *fields)
-    scores = per_group(score, offsets, np.arange(members.size), *cols)
-    test = extract_column(samples_at(samples, target.test_members), *fields[1:])
-    return target, others, scores, test.sum(axis=-1, keepdims=True)
+    sizes = list(map(len, others))
+    members = np.fromiter(chain.from_iterable(others), dtype=np.int64, count=sum(sizes))
+    cols = columns_at(samples, members, *fields)
+    scores = per_group(score, csr_offsets(sizes), np.arange(members.size), *cols)
+    test = columns_at(samples, target.test_members, *fields[1:])
+    return target, sizes, scores, test.sum(axis=-1, keepdims=True)
 
 
 def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:
@@ -391,8 +395,7 @@ def stratified_cia_predict(
     side pool with the smallest-size bucket (score 0, as in the
     unstratified engine).
     """
-    target, others, scores, sums = _record_pool(views, samples, target_group, score_kind)
-    cal_sizes = [v.cal_size for v in others]
+    target, cal_sizes, scores, sums = _record_pool(views, samples, target_group, score_kind)
     if strata is None:
         strata = StrataSpec.from_cal_sizes(cal_sizes)
     q = stratified_thresholds(scores, cal_sizes, [target.test_size], [-1], strata, alpha)

@@ -12,6 +12,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "Threshold",
     "IntervalPrediction",
     "SampleSet",
+    "SampleSubset",
     "conformal_quantile",
     "score_threshold",
     "loo_thresholds",
@@ -149,8 +151,79 @@ class IntervalPrediction:
         return self.lower <= value <= self.upper
 
 
+@dataclass(frozen=True, eq=False)
+class _SampleColumns:
+    """A sample set's summable fields as read-only arrays, in ascending
+    index order.
+
+    ``values`` holds label, point_pred, quant_lo and quant_hi as its rows,
+    with nan where a field is None; ``present`` tells such a nan from a
+    stored one. ``clean[r]`` is true when field r is present and finite on
+    every sample, so a gather of it needs no check.
+    """
+
+    index: np.ndarray
+    records: tuple[LabeledSample, ...]
+    values: np.ndarray
+    present: np.ndarray
+    clean: tuple[bool, ...]
+
+    @classmethod
+    def build(cls, samples: Iterable[LabeledSample]) -> "_SampleColumns":
+        records = tuple(sorted(samples, key=attrgetter("index")))
+        index = np.fromiter((s.index for s in records), dtype=np.int64, count=len(records))
+        raw = [[getattr(s, fld) for s in records] for fld in _SUM_FIELDS]
+        present = np.array([[v is not None for v in vals] for vals in raw], dtype=bool)
+        values = np.array([[math.nan if v is None else v for v in vals] for vals in raw],
+                          dtype=float)
+        clean = tuple((present & np.isfinite(values)).all(axis=1).tolist())
+        for a in (index, values, present):
+            a.flags.writeable = False
+        return cls(index, records, values, present, clean)
+
+    def gather(self, pos: np.ndarray, flds: Sequence[str]) -> np.ndarray:
+        """:func:`extract_column` of the records at positions ``pos``."""
+        _check_fields(flds)
+        out = np.empty((len(flds), pos.size))
+        for row, fld in zip(out, flds):
+            r = _SUM_FIELDS.index(fld)
+            # one 1-D gather per field keeps ``out`` C-ordered; a 2-D gather
+            # would be F-ordered, and its row sums would not be pairwise
+            row[:] = self.values[r][pos]
+            if not self.clean[r]:
+                present = self.present[r][pos]
+                if not present.all():
+                    raise ValueError(f"sample {self.index[pos[np.argmin(present)]]} has no {fld}")
+                _require_finite(row, lambda k: self.index[pos[k]], fld)
+        return out
+
+
+class SampleSubset(tuple):
+    """Read-only sequence of some of a :class:`SampleSet`'s records that
+    also carries its ``source`` set and their ``positions`` in the set's
+    columns, so :func:`extract_column` gathers it without reading a record.
+    Being a tuple, its positions cannot go stale.
+    """
+
+    def __new__(cls, source: "SampleSet", positions: np.ndarray):
+        records = source._cols().records
+        self = super().__new__(cls, map(records.__getitem__, positions.tolist()))
+        self.source = source
+        self.positions = positions
+        return self
+
+    def __reduce__(self):
+        return SampleSubset, (self.source, self.positions)
+
+
 class SampleSet:
-    """Immutable index -> LabeledSample container with unique indices."""
+    """Immutable index -> LabeledSample container with unique indices.
+
+    On first use the set builds its summable fields as columns, once;
+    from then on :meth:`column`, :func:`columns_at` and
+    :func:`extract_column` of a :meth:`subset` read those columns by
+    position, not the records. Construction does not build them.
+    """
 
     def __init__(self, samples: Iterable[LabeledSample]):
         by_index: dict[int, LabeledSample] = {}
@@ -159,6 +232,9 @@ class SampleSet:
                 raise ValueError(f"duplicate sample index {s.index}")
             by_index[s.index] = s
         self._by_index = by_index
+        # built by _cols on first use and published as one object, so a
+        # reader never sees half-built columns
+        self._columns: _SampleColumns | None = None
 
     def __getitem__(self, index: int) -> LabeledSample:
         return self._by_index[index]
@@ -172,15 +248,39 @@ class SampleSet:
     def __iter__(self) -> Iterator[LabeledSample]:
         return iter(self._by_index.values())
 
-    def subset(self, indices: Iterable[int]) -> list[LabeledSample]:
-        return samples_at(self._by_index, indices)
+    def _cols(self) -> _SampleColumns:
+        cols = self._columns
+        if cols is None:
+            cols = self._columns = _SampleColumns.build(self._by_index.values())
+        return cols
+
+    def _positions(self, indices: Iterable[int]) -> np.ndarray:
+        """Column positions of ``indices``; an unknown index is a ValueError."""
+        index = self._cols().index
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        if idx.dtype.kind not in "iu":  # not integers: look them up as a dict would
+            idx = np.array([s.index for s in samples_at(self._by_index, idx.tolist())],
+                           dtype=np.int64)
+        pos = np.searchsorted(index, idx)
+        known = pos < index.size
+        known[known] = index[pos[known]] == idx[known]
+        if not known.all():
+            raise ValueError(f"unknown sample index {idx[np.argmin(known)]}")
+        pos.flags.writeable = False
+        return pos
+
+    def subset(self, indices: Iterable[int]) -> SampleSubset:
+        """The samples at ``indices``, in order, as a :class:`SampleSubset`
+        (a tuple); an unknown index is a ValueError."""
+        return SampleSubset(self, self._positions(indices))
 
     def column(self, indices: Iterable[int], fld: str) -> np.ndarray:
         """Extract one field over ``indices`` as a float array.
 
-        Raises ValueError if the field is missing on any requested sample.
+        Raises ValueError if the field is missing or not finite on any
+        requested sample.
         """
-        return extract_column(self.subset(indices), fld)[0]
+        return columns_at(self, indices, fld)[0]
 
 
 def samples_at(
@@ -193,19 +293,48 @@ def samples_at(
         raise ValueError(f"unknown sample index {exc.args[0]}") from None
 
 
+def columns_at(
+    samples: Mapping[int, LabeledSample], indices: Iterable[int], *flds: str
+) -> np.ndarray:
+    """``extract_column(samples_at(samples, indices), *flds)``; a
+    :class:`SampleSet` gathers from its columns and reads no record."""
+    if isinstance(samples, SampleSet):
+        return samples._cols().gather(samples._positions(indices), flds)
+    return extract_column(samples_at(samples, np.asarray(indices).tolist()), *flds)
+
+
+def _check_fields(flds: Sequence[str]) -> None:
+    for fld in flds:
+        if fld not in _SUM_FIELDS:
+            raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
+
+
+def _require_finite(row: np.ndarray, index_at, fld: str) -> None:
+    """ValueError naming the first sample whose ``fld`` is nan or infinite;
+    ``index_at(k)`` is the index of the sample in entry k of ``row``."""
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        raise ValueError(f"sample {index_at(bad[0])} has non-finite {fld} {row[bad[0]]}")
+
+
 def extract_column(samples: Sequence[LabeledSample], *flds: str) -> np.ndarray:
     """Fields ``flds`` of ``samples`` as the rows of a (len(flds), n) float array.
 
-    Raises ValueError for an unknown field or a sample missing a field.
+    A :class:`SampleSubset` is gathered from its set's columns by
+    position; any other sequence is read record by record. Either way an
+    unknown field, a sample missing a field, or a nan or infinite value
+    raises ValueError, and a sample is named by its index.
     """
+    if isinstance(samples, SampleSubset):
+        return samples.source._cols().gather(samples.positions, flds)
+    _check_fields(flds)
     out = np.empty((len(flds), len(samples)))
     for row, fld in zip(out, flds):
-        if fld not in _SUM_FIELDS:
-            raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
         vals = [getattr(s, fld) for s in samples]
         if None in vals:
             raise ValueError(f"sample {samples[vals.index(None)].index} has no {fld}")
         row[:] = vals
+        _require_finite(row, lambda k: samples[k].index, fld)
     return out
 
 

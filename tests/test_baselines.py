@@ -321,6 +321,17 @@ class TestEdgeCases:
         ]:
             assert (iv.lower, iv.upper) == (0.0, 0.0)
 
+    def test_empty_test_side_needs_no_calibration(self):
+        # with fewer calibration samples than any method needs, an empty
+        # target still gets the point interval from every adapter
+        for cal in ([], [mk(0, y=1.0, pred=0.0, lo=-1.0, hi=1.0)]):
+            for iv in [
+                group_sampling_predict(cal, [], 0.1, "split", rng_seed=0),
+                normal_homoscedastic_predict(cal, [], 0.1, group_id=3),
+                bonferroni_predict(cal, [], 0.1, "split"),
+            ]:
+                assert (iv.lower, iv.upper) == (0.0, 0.0)
+
     def test_lower_never_exceeds_upper(self):
         rng = np.random.default_rng(19)
         for _ in range(50):

@@ -1,18 +1,26 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciarith.core import (
+    _SUM_FIELDS,
     IndexGroup,
     IntervalPrediction,
     LabeledSample,
     SampleSet,
+    SampleSubset,
     SplitAssignment,
     Threshold,
+    columns_at,
     conformal_quantile,
+    extract_column,
     group_sum,
+    samples_at,
     score_threshold,
 )
 
@@ -170,3 +178,86 @@ class TestDomainTypes:
         assert list(ss.column([5, 3], "label")) == [2.0, 1.0]
         with pytest.raises(ValueError, match="unknown sample index"):
             ss.column([4], "label")
+
+
+# ---------------------------------------------------------------------------
+# The columnar SampleSet against the record-by-record path
+# ---------------------------------------------------------------------------
+
+_FINITE = st.floats(min_value=-1e6, max_value=1e6)
+# mostly finite, sometimes absent or non-finite
+_FIELD = st.one_of(_FINITE, _FINITE, _FINITE, st.none(),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _records(draw):
+    out = []
+    for i in draw(st.lists(st.integers(-5, 40), unique=True, max_size=12)):
+        label, pred, lo, hi = (draw(_FIELD) for _ in range(4))
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        out.append(LabeledSample(i, label=label, point_pred=pred, quant_lo=lo, quant_hi=hi))
+    return out
+
+
+def _outcome(fn):
+    """The array ``fn`` returns, or the message of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, str):
+        return got == want
+    return isinstance(got, np.ndarray) and got.flags.c_contiguous and np.array_equal(got, want)
+
+
+class TestColumnarSampleSet:
+    @settings(max_examples=300, deadline=None)
+    @given(_records(), st.data())
+    def test_gathers_match_the_record_path(self, records, data):
+        known = [s.index for s in records]
+        pick = st.sampled_from(known) | st.integers(-6, 42) if known else st.integers(-6, 42)
+        ix = data.draw(st.lists(pick, max_size=6), label="indices")
+        flds = data.draw(st.lists(st.sampled_from(_SUM_FIELDS), min_size=1, max_size=4),
+                         label="fields")
+        ss = SampleSet(records)
+        by_index = {s.index: s for s in records}
+        assert ss._columns is None  # construction builds no columns
+        want = _outcome(lambda: extract_column(samples_at(by_index, ix), *flds))
+        assert _same(_outcome(lambda: extract_column(ss.subset(ix), *flds)), want)
+        cols = ss._columns
+        assert _same(_outcome(lambda: columns_at(ss, ix, *flds)), want)
+        assert _same(_outcome(lambda: extract_column(list(ss.subset(ix)), *flds)), want)
+        for fld in flds:
+            assert _same(_outcome(lambda: ss.column(ix, fld)),
+                         _outcome(lambda: extract_column(samples_at(by_index, ix), fld)[0]))
+        assert ss._columns is cols  # built at most once
+
+    def test_subset_is_a_positioned_tuple(self):
+        ss = SampleSet([LabeledSample(3, label=1.0), LabeledSample(5, label=2.0)])
+        sub = ss.subset([5, 3, 5])
+        assert isinstance(sub, tuple) and sub == (ss[5], ss[3], ss[5])
+        assert sub.source is ss and sub.positions.tolist() == [1, 0, 1]
+        again = pickle.loads(pickle.dumps(sub))
+        assert isinstance(again, SampleSubset) and again == sub
+        assert extract_column(again, "label").tolist() == [[2.0, 1.0, 2.0]]
+        assert ss.subset([]) == () and extract_column(ss.subset([]), "label").shape == (1, 0)
+
+    def test_non_integer_index_is_unknown(self):
+        ss = SampleSet([LabeledSample(3, label=1.0)])
+        for bad in (3.5, "3"):
+            with pytest.raises(ValueError, match=f"^unknown sample index {bad}$"):
+                ss.subset([bad])
+        assert ss.column([3.0], "label").tolist() == [1.0]  # equal to 3, as in a dict
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_sample_and_field(self, bad):
+        ss = SampleSet([LabeledSample(3, label=1.0), LabeledSample(5, label=bad)])
+        for samples in (ss.subset([3, 5]), list(ss)):
+            with pytest.raises(ValueError, match=f"^sample 5 has non-finite label {bad}$"):
+                extract_column(samples, "label")
+        assert ss.column([3], "label").tolist() == [1.0]  # only gathered values count

@@ -8,6 +8,7 @@ separate ``np.sum``. The engine and the record adapters must reproduce
 its bounds exactly, for all ten methods.
 """
 
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -36,6 +37,8 @@ from ciarith.core import (
     IndexGroup,
     LabeledSample,
     SampleSet,
+    SampleSubset,
+    SplitAssignment,
     group_csr,
     loo_thresholds,
     score_threshold,
@@ -197,6 +200,11 @@ CASES = {
         {"infinite", "merged", "empty-cal"},
     ),
     "many-groups": (dict(rng_seed=3, n_rows=900, n_groups=150, alphas=(0.1,)), {"empty-cal"}),
+    # sides of about 10 members: numpy sums 9 or more values pairwise, so a
+    # gather that changes the summation order changes the last bits here
+    "large-groups": (
+        dict(rng_seed=5, n_rows=440, n_groups=24, alphas=(0.1,)), {"empty-cal"}
+    ),
     # one nan prediction: the methods that read it must fail, in both
     "nan-prediction": (
         dict(rng_seed=4, n_rows=160, n_groups=40, alphas=(0.2,), nan_row=7), {"failed"}
@@ -242,17 +250,32 @@ def test_engine_matches_oracle_bitwise(case):
     assert ("failed" in reached) == ("failed" in corners)
 
 
-@pytest.mark.parametrize("case", ["thin-strata", "infinite-pool"])
-def test_record_adapters_match_oracle_bitwise(case):
+# (case, container): a SampleSet with its subsets is gathered by position,
+# a dict with lists record by record; both must match the oracle bit for bit
+RECORD_CASES = [(case, container) for container in ("sampleset", "dict")
+                for case in ("thin-strata", "infinite-pool", "large-groups")]
+
+
+@pytest.mark.parametrize(
+    "case, container", RECORD_CASES,
+    ids=[case if c == "sampleset" else f"{case}-{c}" for case, c in RECORD_CASES],
+)
+def test_record_adapters_match_oracle_bitwise(case, container):
     spec, _ = CASES[case]
     prep, members, (q25, q75) = make_prep(**spec)
     qlo, qhi = prep.quant[spec["alphas"][0]]
     alpha = spec["alphas"][0]
-    samples = SampleSet(
+    records = [
         LabeledSample(index=i, label=float(prep.y[i]), point_pred=float(prep.y_hat[i]),
                       quant_lo=float(qlo[i]), quant_hi=float(qhi[i]))
         for i in prep.universe.tolist()
-    )
+    ]
+    if container == "sampleset":
+        samples = SampleSet(records)
+        subset = samples.subset
+    else:
+        samples = {s.index: s for s in records}
+        subset = lambda ix: [samples[i] for i in ix]  # noqa: E731
     assignment = symmetric_split(prep.universe.tolist(), derive_seed(SEED, _STREAM_SPLIT, REP))
     is_cal = np.zeros(prep.y.size, dtype=bool)
     is_cal[sorted(assignment.cal)] = True
@@ -260,14 +283,15 @@ def test_record_adapters_match_oracle_bitwise(case):
         [IndexGroup(g, frozenset(m.tolist())) for g, m in enumerate(members)], assignment
     )
     strata = StrataSpec.from_cal_sizes([v.cal_size for v in views])
-    cal = samples.subset(sorted(assignment.cal))
+    cal = subset(sorted(assignment.cal))
+    assert isinstance(cal, SampleSubset) == (container == "sampleset")
     targets = [v for v in views if v.test_size]
     log = dict(merged=False, infinite=False, collapsed=False)
     for method in METHOD_IDS:
         lower, upper = oracle(prep, members, is_cal, method, alpha, log)
         kind = "cqr" if "cqr" in method else "split"
         for pos, v in enumerate(targets):
-            test = samples.subset(v.test_members)
+            test = subset(v.test_members)
             gseed = derive_seed(SEED, _STREAM_GSAMP, REP, METHOD_IDS.index(method), pos)
             iv = {
                 "cia": lambda: cia_predict(views, samples, v.group_id, alpha, kind),
@@ -281,6 +305,68 @@ def test_record_adapters_match_oracle_bitwise(case):
                 "bonf": lambda: bonferroni_predict(cal, test, alpha, kind),
             }[method.replace("_split", "").replace("_cqr", "")]()
             assert (iv.lower, iv.upper) == (lower[pos], upper[pos]), (method, v.group_id)
+    if case == "large-groups":
+        assert max(v.test_size for v in views) >= 9 and max(v.cal_size for v in views) >= 9
+
+
+# ---------------------------------------------------------------------------
+# Record adapters name a non-finite field by its sample
+# ---------------------------------------------------------------------------
+
+# Eight groups of five; even indices calibrate. Target group 0 has test
+# members 1 and 3; index 6 sits on group 1's calibration side.
+_TARGET_TEST, _OTHER_CAL = 1, 6
+
+
+def _adapter_call(name, kind):
+    def call(views, samples, cal, test):
+        return {
+            "cia": lambda: cia_predict(views, samples, 0, 0.2, kind),
+            "cia_strat": lambda: stratified_cia_predict(views, samples, 0, 0.2, kind),
+            "group": lambda: group_sampling_predict(cal, test, 0.2, kind),
+            "bonf": lambda: bonferroni_predict(cal, test, 0.2, kind),
+            "normal_homo": lambda: normal_homoscedastic_predict(cal, test, 0.2),
+            "normal_hetero": lambda: normal_hetero_iqr_predict(
+                cal, test, 0.2, lambda s: (-1.0, 1.0)),
+        }[name]()
+    return call
+
+
+ADAPTERS = [(name, kind) for name in ("cia", "cia_strat", "group", "bonf")
+            for kind in ("split", "cqr")] + [("normal_homo", "split"), ("normal_hetero", "split")]
+NON_FINITE_CASES = [
+    (name, kind, side, container, bad)
+    for name, kind in ADAPTERS
+    for side in ("test", "cal")
+    if not (name == "normal_hetero" and side == "cal")  # reads no calibration record
+    for container in ("sampleset", "dict")
+    for bad in (math.nan, -math.inf)
+]
+
+
+@pytest.mark.parametrize("name, kind, side, container, bad", NON_FINITE_CASES)
+def test_record_adapters_name_non_finite_field(name, kind, side, container, bad):
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal(40)
+    records = [LabeledSample(i, label=float(y[i]), point_pred=0.0, quant_lo=-1.0, quant_hi=1.0)
+               for i in range(40)]
+    if side == "test":
+        at, fld = _TARGET_TEST, "quant_lo" if kind == "cqr" else "point_pred"
+    else:
+        at, fld = _OTHER_CAL, "label"
+    records[at] = dataclasses.replace(records[at], **{fld: bad})
+    assignment = SplitAssignment(cal=frozenset(range(0, 40, 2)), test=frozenset(range(1, 40, 2)))
+    views = split_groups([IndexGroup(g, frozenset(range(5 * g, 5 * g + 5))) for g in range(8)],
+                         assignment)
+    if container == "sampleset":
+        samples = SampleSet(records)
+        subset = samples.subset
+    else:
+        samples = {s.index: s for s in records}
+        subset = lambda ix: [samples[i] for i in ix]  # noqa: E731
+    cal, test = subset(sorted(assignment.cal)), subset(views[0].test_members)
+    with pytest.raises(ValueError, match=rf"^sample {at} has non-finite {fld} {bad}$"):
+        _adapter_call(name, kind)(views, samples, cal, test)
 
 
 def test_stratified_thresholds_match_per_target_pools():
