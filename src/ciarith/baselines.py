@@ -9,13 +9,13 @@ Each family has an array-level core that bounds many targets at once
 (:func:`group_sampling_threshold` with
 :func:`~ciarith.cia.interval_from_threshold`, :func:`normal_interval`,
 :func:`bonferroni_interval`); the experiment harness calls the cores
-directly. The ``*_predict`` functions are thin adapters over them: they
-gather the fields of their calibration and test records with
-:func:`~ciarith.core.extract_column`, run the core for one target and
-wrap the result in an :class:`IntervalPrediction`. Records from
-:meth:`SampleSet.subset <ciarith.core.SampleSet.subset>` are gathered by
-position from the set's columns; a plain sequence is read record by
-record.
+directly. No core takes a score kind, which only picks the fields
+scored and summed; all bounds pass :func:`~ciarith.core.interval_bounds`.
+The ``*_predict`` functions are thin adapters: they check alpha and the
+score kind, gather their records' fields with
+:func:`~ciarith.core.extract_column` (by position for a
+:meth:`SampleSet.subset <ciarith.core.SampleSet.subset>`), run the core
+for one target and wrap the result in an :class:`IntervalPrediction`.
 
 Group sampling draws each target's calibration groups from that target's
 own random stream. The harness hands the core every target of a split at
@@ -39,10 +39,10 @@ from .cia import _prediction, interval_from_threshold
 from .core import (
     IntervalPrediction,
     LabeledSample,
-    _ceil_rank,
-    checked_bounds,
-    collapse_crossed,
+    check_alpha,
     extract_column,
+    interval_bounds,
+    kth_smallest,
     per_group,
     score_threshold,
 )
@@ -66,10 +66,6 @@ logger = logging.getLogger(__name__)
 _NORMAL = NormalDist()
 # z_{0.75} - z_{0.25}: converts an interquartile range to a normal sigma
 IQR_TO_SD = _NORMAL.inv_cdf(0.75) - _NORMAL.inv_cdf(0.25)
-
-
-def _point_interval(group_id: int, alpha: float) -> IntervalPrediction:
-    return IntervalPrediction(group_id=group_id, lower=0.0, upper=0.0, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +96,7 @@ def group_sampling_threshold(
     bit for bit.
     """
     score, _ = scoring.score_kind(score_kind)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     sizes = np.asarray(sizes, dtype=np.int64)
     n_cal = cols[0].size
     short = np.flatnonzero(sizes > n_cal)
@@ -124,11 +119,7 @@ def group_sampling_threshold(
         for r, t in enumerate(targets.tolist()):
             rows[r] = permutation(t)[: k_groups * m]
         scores = score(*(c[rows.reshape(targets.size, k_groups, m)] for c in cols))
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        k = _ceil_rank(k_groups, alpha)
-        q[targets] = (math.inf if k > k_groups
-                      else np.partition(scores, k - 1, axis=1)[:, k - 1])
+        q[targets] = kth_smallest(scores, alpha)
     return q
 
 
@@ -149,17 +140,18 @@ def group_sampling_predict(
     predictions. Exchangeability of sampled groups with the target is an
     assumption here, not a property inherited from the data.
     """
+    check_alpha(alpha)
+    _, fields = scoring.score_kind(score_kind)
     m = len(target_test_samples)
     if m == 0:
-        return _point_interval(group_id, alpha)
-    _, fields = scoring.score_kind(score_kind)
+        return _prediction(group_id, alpha, [0.0], [0.0])
     cols = extract_column(cal_samples, *fields)
     sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
     rng = np.random.default_rng(rng_seed)
     q = group_sampling_threshold(
         cols, [m], alpha, score_kind, K, lambda t: rng.permutation(len(cal_samples))
     )
-    return _prediction(group_id, alpha, *interval_from_threshold(q, score_kind, sums))
+    return _prediction(group_id, alpha, *interval_from_threshold(q, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,7 @@ def pooled_residual_sigma(y: np.ndarray, pred: np.ndarray) -> float:
 
 def normal_interval(center, spread, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """center + [z_{alpha/2}, z_{1-alpha/2}] * spread, per target."""
-    return checked_bounds(
+    return interval_bounds(
         center + _NORMAL.inv_cdf(alpha / 2) * spread,
         center + _NORMAL.inv_cdf(1 - alpha / 2) * spread,
     )
@@ -213,9 +205,10 @@ def normal_homoscedastic_predict(
     Valid only when residuals really are i.i.d. zero-mean normal; heavy
     tails or model misspecification typically push coverage below target.
     """
+    check_alpha(alpha)
     m = len(target_test_samples)
     if m == 0:
-        return _point_interval(group_id, alpha)
+        return _prediction(group_id, alpha, [0.0], [0.0])
     sigma = pooled_residual_sigma(*extract_column(cal_samples, "label", "point_pred"))
     center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
     return _prediction(group_id, alpha, *normal_interval(center, np.sqrt([m]) * sigma, alpha))
@@ -232,12 +225,18 @@ def normal_hetero_iqr_predict(
     """Normal interval with per-sample sigmas from predicted IQRs.
 
     ``quantile_predictor`` maps a test sample to its predicted (0.25, 0.75)
-    label quantiles; per-sample variances add across the group.
+    label quantiles; per-sample variances add across the group. A
+    non-finite quartile is a ValueError naming the sample.
     """
-    m = len(target_test_samples)
-    if m == 0:
-        return _point_interval(group_id, alpha)
+    check_alpha(alpha)
+    if len(target_test_samples) == 0:
+        return _prediction(group_id, alpha, [0.0], [0.0])
     quarts = np.array([quantile_predictor(s) for s in target_test_samples], dtype=float)
+    bad = np.argwhere(~np.isfinite(quarts))
+    if bad.size:
+        k, j = bad[0]
+        raise ValueError(f"sample {target_test_samples[k].index} has non-finite "
+                         f"{('lower', 'upper')[j]} quartile {quarts[k, j]}")
     spread = np.sqrt(sum_of_squares(iqr_sigma(quarts[:, 0], quarts[:, 1])[None]))
     center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
     return _prediction(group_id, alpha, *normal_interval(center, spread, alpha))
@@ -252,23 +251,18 @@ def bonferroni_interval(
     q_by_size: Mapping[int, float],
     test: tuple[np.ndarray, np.ndarray],
     test_cols: Sequence[np.ndarray],
-    score_kind: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the per-sample intervals [c_i - q, c_i + q] (or band versions).
+    """Sum the per-sample bands [lo_i - q, hi_i + q] over each target.
 
     ``test`` is the CSR (offsets, members) of the targets' test sides over
-    the rows of ``test_cols``: (point_pred,) for the split kind, (quant_lo,
-    quant_hi) for the quantile kind. A target of test size m uses the
-    threshold ``q_by_size[m]``, so each size class shares one.
+    the rows of ``test_cols``: (point_pred,), a band of zero width, or
+    (quant_lo, quant_hi). A target of test size m uses the threshold
+    ``q_by_size[m]``, so each size class shares one.
     """
-    if score_kind not in ("split", "cqr"):
-        raise ValueError(f"unknown score kind {score_kind!r}")
     lo, hi = test_cols[0], test_cols[-1]
     lower = per_group(lambda c: np.sum(c - q_by_size[c.shape[-1]], axis=-1), *test, lo)
     upper = per_group(lambda c: np.sum(c + q_by_size[c.shape[-1]], axis=-1), *test, hi)
-    if score_kind == "cqr":  # bands invert under a strongly negative threshold
-        lower, upper = collapse_crossed(lower, upper)
-    return checked_bounds(lower, upper)
+    return interval_bounds(lower, upper)
 
 
 def bonferroni_predict(
@@ -285,13 +279,14 @@ def bonferroni_predict(
     test samples gets a single-label interval at level alpha/m, and the
     bounds add. The union bound keeps this valid under any dependence.
     """
+    check_alpha(alpha)
+    score, fields = scoring.score_kind(score_kind)
     m = len(target_test_samples)
     if m == 0:
-        return _point_interval(group_id, alpha)
-    score, fields = scoring.score_kind(score_kind)
+        return _prediction(group_id, alpha, [0.0], [0.0])
     per_sample = score(*extract_column(cal_samples, *fields)[:, :, None])
     q = {m: score_threshold(per_sample, alpha / m).value}
     test_cols = extract_column(target_test_samples, *fields[1:])
     one_group = (np.array([0, m]), np.arange(m))
-    bounds = bonferroni_interval(q, one_group, test_cols, score_kind)
+    bounds = bonferroni_interval(q, one_group, test_cols)
     return _prediction(group_id, alpha, *bounds)

@@ -13,12 +13,13 @@ adjacent buckets when a bucket is too thin to calibrate on.
 The module has two layers. The array engine (:func:`interval_from_threshold`,
 :func:`stratified_thresholds`, with the leave-one-out thresholds of
 :mod:`ciarith.core`) computes the bounds of every target of a split at
-once; the experiment harness calls it directly. The record adapters
-(:func:`cia_predict`, :func:`stratified_cia_predict`) gather the fields
-of the calibration and test members, run the engine for one target, and
-wrap the result in an :class:`IntervalPrediction`. From a
-:class:`~ciarith.core.SampleSet` the fields are gathered by position
-from the set's columns; another mapping is read record by record.
+once; the experiment harness calls it directly. For both score kinds
+an interval is the target's summed band padded by its threshold (a split
+band has zero width). The record adapters (:func:`cia_predict`,
+:func:`stratified_cia_predict`) gather the fields of the calibration and
+test members with :func:`~ciarith.core.columns_at`, by position from a
+:class:`~ciarith.core.SampleSet`'s columns, run the engine for one
+target, and wrap the result in an :class:`IntervalPrediction`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from .core import (
     IntervalPrediction,
     LabeledSample,
     SplitAssignment,
-    checked_bounds,
-    collapse_crossed,
     columns_at,
     csr_offsets,
     group_csr,
+    interval_bounds,
     loo_thresholds,
     per_group,
 )
@@ -277,21 +277,13 @@ def restrict_groups(
 # ---------------------------------------------------------------------------
 
 
-def interval_from_threshold(q, score_kind: str, sums) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of each target from its threshold and test-side sums.
+def interval_from_threshold(q, sums) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of each target: its summed band padded by its threshold.
 
-    ``sums`` is (pred,) for the split kind and (lo, hi) for the quantile
-    kind, one entry per target. A strongly negative quantile-band threshold
-    can cross the band endpoints (an empty prediction set); the interval
-    then collapses to the zero-width midpoint.
+    ``sums`` holds the test-side sums, one entry per target, of the fields
+    the score kind sums: (pred,), a band of zero width, or (lo, hi).
     """
-    if score_kind == "split":
-        (pred,) = sums
-        return checked_bounds(pred - q, pred + q)
-    if score_kind == "cqr":
-        lo, hi = sums
-        return checked_bounds(*collapse_crossed(lo - q, hi + q))
-    raise ValueError(f"unknown score kind {score_kind!r}")
+    return interval_bounds(sums[0] - q, sums[-1] + q)
 
 
 def stratified_thresholds(
@@ -376,7 +368,7 @@ def cia_predict(
     """
     _, _, scores, sums = _record_pool(views, samples, target_group, score_kind)
     q = loo_thresholds(scores, alpha, [-1])
-    return _prediction(target_group, alpha, *interval_from_threshold(q, score_kind, sums))
+    return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
 
 def stratified_cia_predict(
@@ -399,7 +391,7 @@ def stratified_cia_predict(
     if strata is None:
         strata = StrataSpec.from_cal_sizes(cal_sizes)
     q = stratified_thresholds(scores, cal_sizes, [target.test_size], [-1], strata, alpha)
-    return _prediction(target_group, alpha, *interval_from_threshold(q, score_kind, sums))
+    return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Core domain types and the conformal quantile primitive.
+"""Core domain types and the primitives every interval method shares.
 
-Every interval method in this package reduces to the same primitive:
-take the k-th smallest calibration score with k = ceil((1 + n) * (1 - alpha)),
-appending a virtual +inf sentinel when k exceeds the number of scores.
-The types here are immutable value objects shared by all other modules.
+One rank rule, :func:`kth_smallest`: the k-th smallest calibration score
+with k = ceil((1 + n) * (1 - alpha)), or a virtual +inf sentinel when k
+exceeds the number of scores. One bounds rule, :func:`interval_bounds`,
+and one record gather, :func:`extract_column`. The types here are
+immutable value objects shared by all other modules.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ class IntervalPrediction:
 
 @dataclass(frozen=True, eq=False)
 class _SampleColumns:
-    """A sample set's summable fields as read-only arrays, in ascending
-    index order.
+    """The summable fields of some records as read-only arrays, in the
+    records' order.
 
     ``values`` holds label, point_pred, quant_lo and quant_hi as its rows,
     with nan where a field is None; ``present`` tells such a nan from a
@@ -170,9 +171,9 @@ class _SampleColumns:
 
     @classmethod
     def build(cls, samples: Iterable[LabeledSample]) -> "_SampleColumns":
-        records = tuple(sorted(samples, key=attrgetter("index")))
+        records = tuple(samples)
         index = np.fromiter((s.index for s in records), dtype=np.int64, count=len(records))
-        raw = [[getattr(s, fld) for s in records] for fld in _SUM_FIELDS]
+        raw = [list(map(attrgetter(fld), records)) for fld in _SUM_FIELDS]
         present = np.array([[v is not None for v in vals] for vals in raw], dtype=bool)
         values = np.array([[math.nan if v is None else v for v in vals] for vals in raw],
                           dtype=float)
@@ -194,7 +195,10 @@ class _SampleColumns:
                 present = self.present[r][pos]
                 if not present.all():
                     raise ValueError(f"sample {self.index[pos[np.argmin(present)]]} has no {fld}")
-                _require_finite(row, lambda k: self.index[pos[k]], fld)
+                bad = np.flatnonzero(~np.isfinite(row))
+                if bad.size:
+                    raise ValueError(f"sample {self.index[pos[bad[0]]]} has non-finite "
+                                     f"{fld} {row[bad[0]]}")
         return out
 
 
@@ -251,7 +255,8 @@ class SampleSet:
     def _cols(self) -> _SampleColumns:
         cols = self._columns
         if cols is None:
-            cols = self._columns = _SampleColumns.build(self._by_index.values())
+            cols = self._columns = _SampleColumns.build(
+                sorted(self._by_index.values(), key=attrgetter("index")))
         return cols
 
     def _positions(self, indices: Iterable[int]) -> np.ndarray:
@@ -309,43 +314,49 @@ def _check_fields(flds: Sequence[str]) -> None:
             raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
 
 
-def _require_finite(row: np.ndarray, index_at, fld: str) -> None:
-    """ValueError naming the first sample whose ``fld`` is nan or infinite;
-    ``index_at(k)`` is the index of the sample in entry k of ``row``."""
-    bad = np.flatnonzero(~np.isfinite(row))
-    if bad.size:
-        raise ValueError(f"sample {index_at(bad[0])} has non-finite {fld} {row[bad[0]]}")
-
-
 def extract_column(samples: Sequence[LabeledSample], *flds: str) -> np.ndarray:
     """Fields ``flds`` of ``samples`` as the rows of a (len(flds), n) float array.
 
     A :class:`SampleSubset` is gathered from its set's columns by
-    position; any other sequence is read record by record. Either way an
-    unknown field, a sample missing a field, or a nan or infinite value
-    raises ValueError, and a sample is named by its index.
+    position, any other sequence from columns built in the order given.
+    An unknown field, a sample missing a field, or a nan or infinite
+    value raises ValueError, and a sample is named by its index.
     """
     if isinstance(samples, SampleSubset):
         return samples.source._cols().gather(samples.positions, flds)
-    _check_fields(flds)
-    out = np.empty((len(flds), len(samples)))
-    for row, fld in zip(out, flds):
-        vals = [getattr(s, fld) for s in samples]
-        if None in vals:
-            raise ValueError(f"sample {samples[vals.index(None)].index} has no {fld}")
-        row[:] = vals
-        _require_finite(row, lambda k: samples[k].index, fld)
-    return out
+    return _SampleColumns.build(samples).gather(np.arange(len(samples)), flds)
+
+
+def check_alpha(alpha: float) -> None:
+    """ValueError unless 0 < alpha < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _finite_scores(scores) -> np.ndarray:
+    s = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
+    return s
+
+
+def kth_smallest(scores, alpha: float) -> np.ndarray:
+    """Over the n scores along the last axis, the k-th smallest with
+    k = ceil((1 + n) * (1 - alpha)), or +inf (the sentinel) when k > n.
+    Scores may be signed; a non-finite one is a ValueError."""
+    s = _finite_scores(scores)
+    n = s.shape[-1]
+    k = _ceil_rank(n, alpha)
+    if k > n:
+        return np.full(s.shape[:-1], math.inf)
+    return np.partition(s, k - 1, axis=-1)[..., k - 1]
 
 
 def _checked_scores(scores, alpha: float) -> np.ndarray:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1:
         raise ValueError("scores must be one-dimensional")
-    if s.size and not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
     return s
 
 
@@ -356,12 +367,7 @@ def score_threshold(scores, alpha: float) -> Threshold:
     Use :func:`conformal_quantile` when scores are known non-negative.
     """
     s = _checked_scores(scores, alpha)
-    n = s.size
-    k = _ceil_rank(n, alpha)
-    if k > n:
-        return Threshold(math.inf, alpha, n)
-    value = float(np.partition(s, k - 1)[k - 1])
-    return Threshold(value, alpha, n)
+    return Threshold(float(kth_smallest(s, alpha)), alpha, s.size)
 
 
 def loo_thresholds(scores, alpha: float, leave_out) -> np.ndarray:
@@ -374,7 +380,7 @@ def loo_thresholds(scores, alpha: float, leave_out) -> np.ndarray:
     jackknife+). The +inf sentinel appended to the sorted scores is picked
     exactly when k exceeds the pool size.
     """
-    s = _checked_scores(scores, alpha)
+    s = _finite_scores(_checked_scores(scores, alpha))
     order = np.argsort(s, kind="stable")
     srt = np.append(s[order], math.inf)
     pos = np.empty(s.size, dtype=np.int64)
@@ -450,19 +456,22 @@ def row_sum(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def collapse_crossed(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where a band padded by a negative threshold crosses (lower > upper),
-    both bounds become the midpoint: an empty prediction set keeps its
-    zero width and its near-certain miss."""
+def interval_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every method's bounds. Where a band padded by a negative threshold
+    crosses, both become its midpoint: an empty prediction set keeps zero
+    width and its near-certain miss. A NaN bound is a ValueError, as in
+    :class:`IntervalPrediction`.
+
+    Only a quantile band can cross. Split (c -/+ q), Bonferroni split
+    (sums of such terms, added in one order) and normal (c + z * s with
+    z_lo < 0 < z_hi, s >= 0) bands pad the same values by a non-negative
+    amount, and rounding is monotone, so their lower bound never exceeds
+    their upper one and the midpoint step leaves them unchanged.
+    """
     crossed = lower > upper
-    lower, upper = lower.copy(), upper.copy()
-    lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
-    return lower, upper
-
-
-def checked_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bounds as given; ValueError where lower <= upper fails, NaN included,
-    as :class:`IntervalPrediction` would raise."""
+    if crossed.any():
+        lower, upper = lower.copy(), upper.copy()
+        lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
     bad = np.flatnonzero(~(lower <= upper))
     if bad.size:
         t = bad[0]

@@ -694,7 +694,7 @@ class _Session:
             per_sample = score(*(c[:, None] for c in cal_cols))
             q = {m: score_threshold(per_sample, alpha / m).value
                  for m in np.unique(sizes).tolist()}
-            return baselines.bonferroni_interval(q, split.test, cols[1:], kind)
+            return baselines.bonferroni_interval(q, split.test, cols[1:])
         if method.startswith("group_"):
             # target t draws from default_rng(derive_seed(seed, stream, rep, method, t))
             seeds = _derived_seed_words(
@@ -710,7 +710,7 @@ class _Session:
             )
         else:
             q = loo_thresholds(scores, alpha, split.targets)
-        return interval_from_threshold(q, kind, sums)
+        return interval_from_threshold(q, sums)
 
 
 @dataclass(frozen=True)

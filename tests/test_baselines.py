@@ -332,6 +332,37 @@ class TestEdgeCases:
             ]:
                 assert (iv.lower, iv.upper) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, kind, message", [
+        (1.5, "bogus", r"^alpha must be in \(0, 1\), got 1\.5$"),
+        (-2, "x", r"^alpha must be in \(0, 1\), got -2$"),
+        (7.0, "split", r"^alpha must be in \(0, 1\), got 7\.0$"),
+        (0.1, "bogus", r"^unknown score kind 'bogus'$"),
+    ], ids=["alpha-above-one", "negative-alpha", "alpha-seven", "unknown-kind"])
+    def test_empty_test_side_still_checks_alpha_and_kind(self, alpha, kind, message):
+        cal = [mk(i, y=1.0, pred=0.0, lo=-1.0, hi=1.0) for i in range(10)]
+        calls = [
+            lambda: group_sampling_predict(cal, [], alpha, kind),
+            lambda: bonferroni_predict(cal, [], alpha, kind),
+        ]
+        if kind == "split":  # the normal intervals take no score kind
+            calls += [
+                lambda: normal_homoscedastic_predict(cal, [], alpha),
+                lambda: normal_hetero_iqr_predict(cal, [], alpha, lambda s: (0.0, 1.0)),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("quartiles, which, bad", [
+        ((math.nan, 1.0), "lower", math.nan),
+        ((-1.0, math.inf), "upper", math.inf),
+    ], ids=["nan-lower", "inf-upper"])
+    def test_non_finite_quartile_names_sample_and_quartile(self, quartiles, which, bad):
+        test = [mk(10, pred=0.0), mk(11, pred=0.0)]
+        predictor = lambda s: quartiles if s.index == 11 else (-1.0, 1.0)  # noqa: E731
+        with pytest.raises(ValueError, match=rf"^sample 11 has non-finite {which} quartile {bad}$"):
+            normal_hetero_iqr_predict([], test, 0.1, predictor, group_id=4)
+
     def test_lower_never_exceeds_upper(self):
         rng = np.random.default_rng(19)
         for _ in range(50):

@@ -1,6 +1,7 @@
 import math
 import pickle
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from ciarith.core import (
     columns_at,
     conformal_quantile,
     extract_column,
+    group_csr,
     group_sum,
+    interval_bounds,
+    per_group,
     samples_at,
     score_threshold,
 )
@@ -122,6 +126,69 @@ class TestScoreThreshold:
             Threshold(value=math.inf, alpha=0.5, n=10)
 
 
+# ---------------------------------------------------------------------------
+# One bounds rule: only a quantile band padded by a negative threshold crosses
+# ---------------------------------------------------------------------------
+
+# far from overflow, so no sum of them is infinite or nan
+_VALUES = st.floats(min_value=-1e100, max_value=1e100)
+_PADS = st.floats(min_value=0.0, max_value=1e100) | st.just(math.inf)
+_ALPHAS = st.floats(min_value=1e-6, max_value=1 - 1e-6)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _unchanged(lower, upper):
+    got = interval_bounds(lower, upper)
+    return _same_bits(got[0], lower) and _same_bits(got[1], upper)
+
+
+class TestIntervalBounds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_VALUES, min_size=1, max_size=8), _PADS)
+    def test_split_band_is_unchanged(self, pred, q):
+        pred = np.array(pred)
+        assert _unchanged(pred - q, pred + q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_VALUES, min_size=1, max_size=12), min_size=1, max_size=6), _PADS)
+    def test_bonferroni_split_sums_are_unchanged(self, groups, q):
+        offsets, members = group_csr(
+            range(start, start + len(g))
+            for start, g in zip(np.cumsum([0] + [len(g) for g in groups]), groups)
+        )
+        pred = np.concatenate(groups)
+        assert _unchanged(per_group(lambda c: np.sum(c - q, axis=-1), offsets, members, pred),
+                          per_group(lambda c: np.sum(c + q, axis=-1), offsets, members, pred))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_VALUES, _PADS), min_size=1, max_size=8), _ALPHAS)
+    def test_normal_interval_is_unchanged(self, rows, alpha):
+        center, spread = np.array(rows).T
+        z = NormalDist().inv_cdf
+        assert _unchanged(center + z(alpha / 2) * spread, center + z(1 - alpha / 2) * spread)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_VALUES, _PADS), min_size=1, max_size=8),
+           st.floats(min_value=-1e100, max_value=1e100))
+    def test_crossed_quantile_band_becomes_its_midpoint(self, bands, q):
+        lo, width = np.array(bands).T
+        lower, upper = lo - q, (lo + width) + q
+        got_lower, got_upper = interval_bounds(lower, upper)
+        crossed = lower > upper
+        mid = 0.5 * (lower + upper)
+        assert _same_bits(got_lower, np.where(crossed, mid, lower))
+        assert _same_bits(got_upper, np.where(crossed, mid, upper))
+
+    def test_crossed_band_example_and_nan(self):
+        lower, upper = interval_bounds(np.array([1.0, 3.0]), np.array([2.0, 1.0]))
+        assert lower.tolist() == [1.0, 2.0] and upper.tolist() == [2.0, 2.0]
+        with pytest.raises(ValueError, match="^target 1: lower nan exceeds upper 1.0$"):
+            interval_bounds(np.array([0.0, math.nan]), np.array([1.0, 1.0]))
+
+
 class TestGroupSum:
     def test_labels(self):
         samples = [LabeledSample(0, label=1.0), LabeledSample(1, label=2.5)]
@@ -181,7 +248,7 @@ class TestDomainTypes:
 
 
 # ---------------------------------------------------------------------------
-# The columnar SampleSet against the record-by-record path
+# The columnar gather against a record-by-record reading
 # ---------------------------------------------------------------------------
 
 _FINITE = st.floats(min_value=-1e6, max_value=1e6)
@@ -198,6 +265,24 @@ def _records(draw):
         if lo is not None and hi is not None and lo > hi:
             lo, hi = hi, lo
         out.append(LabeledSample(i, label=label, point_pred=pred, quant_lo=lo, quant_hi=hi))
+    return out
+
+
+def _read_records(samples, flds):
+    """The fields read one record at a time, with extract_column's errors."""
+    for fld in flds:
+        if fld not in _SUM_FIELDS:
+            raise ValueError(f"unknown field {fld!r}; expected one of {_SUM_FIELDS}")
+    out = np.empty((len(flds), len(samples)))
+    for row, fld in zip(out, flds):
+        for k, s in enumerate(samples):
+            v = getattr(s, fld)
+            if v is None:
+                raise ValueError(f"sample {s.index} has no {fld}")
+            row[k] = v
+        bad = [k for k, v in enumerate(row) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"sample {samples[bad[0]].index} has non-finite {fld} {row[bad[0]]}")
     return out
 
 
@@ -227,14 +312,15 @@ class TestColumnarSampleSet:
         ss = SampleSet(records)
         by_index = {s.index: s for s in records}
         assert ss._columns is None  # construction builds no columns
-        want = _outcome(lambda: extract_column(samples_at(by_index, ix), *flds))
+        want = _outcome(lambda: _read_records(samples_at(by_index, ix), flds))
+        assert _same(_outcome(lambda: extract_column(samples_at(by_index, ix), *flds)), want)
         assert _same(_outcome(lambda: extract_column(ss.subset(ix), *flds)), want)
         cols = ss._columns
         assert _same(_outcome(lambda: columns_at(ss, ix, *flds)), want)
         assert _same(_outcome(lambda: extract_column(list(ss.subset(ix)), *flds)), want)
         for fld in flds:
             assert _same(_outcome(lambda: ss.column(ix, fld)),
-                         _outcome(lambda: extract_column(samples_at(by_index, ix), fld)[0]))
+                         _outcome(lambda: _read_records(samples_at(by_index, ix), [fld])[0]))
         assert ss._columns is cols  # built at most once
 
     def test_subset_is_a_positioned_tuple(self):

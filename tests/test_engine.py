@@ -5,7 +5,8 @@ The oracle is the per-target loop the engine replaced: one
 rebuilt per target, one seeded group-sampling draw per target, normal
 and Bonferroni intervals one target at a time, and every group sum a
 separate ``np.sum``. The engine and the record adapters must reproduce
-its bounds exactly, for all ten methods.
+its bounds exactly, for all ten methods, on five fixed cases and on
+cases hypothesis draws.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ciarith.baselines import (
@@ -159,13 +160,13 @@ def oracle(prep, members, is_cal, method, alpha, log):
 # ---------------------------------------------------------------------------
 
 
-def make_prep(rng_seed, n_rows, n_groups, alphas, nan_row=None):
+def make_prep(rng_seed, n_rows, n_groups, alphas, nan_row=None, single_share=0.25):
     """A prep over ``n_rows`` universe rows and ``n_groups`` groups.
 
-    A quarter of the groups are singletons, so about half of those have an
-    empty calibration side. Quantile bands are wide, which makes the band
-    thresholds strongly negative, except on half of the singletons: their
-    narrow bands cross once padded by such a threshold.
+    A ``single_share`` of the groups are singletons, so about half of
+    those have an empty calibration side. Quantile bands are wide, which
+    makes the band thresholds strongly negative, except on half of the
+    singletons: their narrow bands cross once padded by such a threshold.
     """
     rng = np.random.default_rng(rng_seed)
     universe = np.arange(n_rows)
@@ -173,7 +174,7 @@ def make_prep(rng_seed, n_rows, n_groups, alphas, nan_row=None):
     y_hat = y + 0.5 * rng.standard_normal(n_rows)
     if nan_row is not None:
         y_hat[nan_row] = np.nan
-    n_single = n_groups // 4
+    n_single = int(n_groups * single_share)
     perm = rng.permutation(n_rows)
     half = np.full(n_rows, 4.0)
     half[perm[: n_single // 2]] = 0.05
@@ -225,14 +226,20 @@ def _bounds_or_error(fn, *args):
         return None
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_engine_matches_oracle_bitwise(case):
-    spec, corners = CASES[case]
-    prep, members, _ = make_prep(**spec)
-    session, split = _engine(prep, spec["alphas"])
+def _assignment(prep):
+    """The rep's split, drawn as the harness draws it, and its is-calibration mask."""
     assignment = symmetric_split(prep.universe.tolist(), derive_seed(SEED, _STREAM_SPLIT, REP))
     is_cal = np.zeros(prep.y.size, dtype=bool)
     is_cal[sorted(assignment.cal)] = True
+    return assignment, is_cal
+
+
+def check_engine(spec):
+    """Assert the engine's bounds equal the oracle's for every method and
+    level of ``spec``; returns the corners its split reached."""
+    prep, members, _ = make_prep(**spec)
+    session, split = _engine(prep, spec["alphas"])
+    _, is_cal = _assignment(prep)
     log = dict(merged=False, infinite=False, collapsed=False, failed=False)
     for alpha in spec["alphas"]:
         for method in METHOD_IDS:
@@ -245,7 +252,13 @@ def test_engine_matches_oracle_bitwise(case):
             assert np.array_equal(got[0], expected[0]), (method, alpha)
             assert np.array_equal(got[1], expected[1]), (method, alpha)
     log["empty-cal"] = any(not is_cal[members[t]].any() for t in split.targets)
-    reached = {k for k, v in log.items() if v}
+    return {k for k, v in log.items() if v}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_oracle_bitwise(case):
+    spec, corners = CASES[case]
+    reached = check_engine(spec)
     assert corners <= reached
     assert ("failed" in reached) == ("failed" in corners)
 
@@ -256,12 +269,9 @@ RECORD_CASES = [(case, container) for container in ("sampleset", "dict")
                 for case in ("thin-strata", "infinite-pool", "large-groups")]
 
 
-@pytest.mark.parametrize(
-    "case, container", RECORD_CASES,
-    ids=[case if c == "sampleset" else f"{case}-{c}" for case, c in RECORD_CASES],
-)
-def test_record_adapters_match_oracle_bitwise(case, container):
-    spec, _ = CASES[case]
+def check_records(spec, container):
+    """Assert every record adapter's interval equals the oracle's, for every
+    method and target at the first level of ``spec``; returns the views."""
     prep, members, (q25, q75) = make_prep(**spec)
     qlo, qhi = prep.quant[spec["alphas"][0]]
     alpha = spec["alphas"][0]
@@ -276,9 +286,7 @@ def test_record_adapters_match_oracle_bitwise(case, container):
     else:
         samples = {s.index: s for s in records}
         subset = lambda ix: [samples[i] for i in ix]  # noqa: E731
-    assignment = symmetric_split(prep.universe.tolist(), derive_seed(SEED, _STREAM_SPLIT, REP))
-    is_cal = np.zeros(prep.y.size, dtype=bool)
-    is_cal[sorted(assignment.cal)] = True
+    assignment, is_cal = _assignment(prep)
     views = split_groups(
         [IndexGroup(g, frozenset(m.tolist())) for g, m in enumerate(members)], assignment
     )
@@ -305,8 +313,44 @@ def test_record_adapters_match_oracle_bitwise(case, container):
                 "bonf": lambda: bonferroni_predict(cal, test, alpha, kind),
             }[method.replace("_split", "").replace("_cqr", "")]()
             assert (iv.lower, iv.upper) == (lower[pos], upper[pos]), (method, v.group_id)
+    return views
+
+
+@pytest.mark.parametrize(
+    "case, container", RECORD_CASES,
+    ids=[case if c == "sampleset" else f"{case}-{c}" for case, c in RECORD_CASES],
+)
+def test_record_adapters_match_oracle_bitwise(case, container):
+    views = check_records(CASES[case][0], container)
     if case == "large-groups":
         assert max(v.test_size for v in views) >= 9 and max(v.cal_size for v in views) >= 9
+
+
+# Drawn cases. Any test side holds at most half the rows, so it never
+# outgrows the calibration side group sampling draws from, and 2 rows per
+# group give at least 4 calibration rows: no method fails on a drawn case.
+@st.composite
+def drawn_specs(draw):
+    n_groups = draw(st.integers(4, 40))
+    alpha_pcts = draw(st.lists(st.integers(2, 60), min_size=1, max_size=2, unique=True))
+    return dict(
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+        n_rows=draw(st.integers(2 * n_groups, 6 * n_groups)),
+        n_groups=n_groups,
+        alphas=tuple(a / 100 for a in alpha_pcts),
+        # up to 60% singletons, about half of them with an empty calibration side
+        single_share=draw(st.floats(0.0, 0.6)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn_specs(), st.sampled_from(["sampleset", "dict"]))
+def test_drawn_cases_match_oracle_bitwise(spec, container):
+    reached = check_engine(spec)
+    assert "failed" not in reached
+    for corner in sorted(reached):
+        event(corner)
+    check_records(spec, container)
 
 
 # ---------------------------------------------------------------------------

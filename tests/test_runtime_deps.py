@@ -1,9 +1,11 @@
-"""Runtime code must not import scipy: it is a test tool only.
+"""Runtime code must not import scipy: it is a test tool only, and no
+module keeps an import it does not use.
 
-The probe runs in a child process, because the test session itself may
-have imported scipy already.
+The scipy probe runs in a child process, because the test session itself
+may have imported scipy already.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +40,35 @@ def test_runtime_code_does_not_import_scipy():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; ``__all__`` counts as a read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    pkg = Path(ciarith.__file__).resolve().parent
+    unused = {
+        path.name: names
+        for path in sorted(pkg.glob("*.py"))
+        if path.name != "__init__.py"  # its imports are the package's re-exports
+        for names in [_unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+        if names
+    }
+    assert not unused, unused
