@@ -333,6 +333,14 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_finite(values: np.ndarray, where) -> None:
+    """ValueError reading ``{where(*i)} {value} is not finite`` for the first
+    nan or inf in ``values``, ``i`` being its index."""
+    if not np.isfinite(values).all():
+        i = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
+        raise ValueError(f"{where(*i)} {values[i]} is not finite")
+
+
 def _finite_scores(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
@@ -520,3 +528,23 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
                 yield reader.line_num, row
 
         yield header, rows()
+
+
+class _NotANumber(ValueError):
+    """A CSV token that does not parse as the number asked for."""
+
+
+def _parse_field(token: str, line_no: int, column: str, kind: type = float):
+    """CSV field ``token`` as a ``kind`` (int or float); ``column`` names it
+    in errors, as in ``column 'c'``. A bad token raises ValueError reading
+    ``line N: column 'c': 'tok' is not numeric | an integer`` (as
+    :class:`_NotANumber`) or, for a nan or inf float, ``... is not finite``.
+    """
+    try:
+        value = kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "numeric"
+        raise _NotANumber(f"line {line_no}: {column}: {token!r} is not {what}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"line {line_no}: {column}: {token!r} is not finite")
+    return value

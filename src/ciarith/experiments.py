@@ -36,6 +36,9 @@ from .cia import (
 )
 from .core import (
     IndexGroup,
+    _check_finite,
+    _NotANumber,
+    _parse_field,
     _read_csv,
     csr_offsets,
     group_csr,
@@ -314,14 +317,11 @@ class TabularDataset:
                 f"features of shape {features.shape} do not match labels of shape "
                 f"{labels.shape}: need an (n, d) matrix and n labels"
             )
-        bad = np.flatnonzero(~np.isfinite(labels))
-        if bad.size:
-            raise ValueError(f"row {bad[0]}: label {labels[bad[0]]} is not finite")
-        rows, cols = np.nonzero(~np.isfinite(features))
-        if rows.size:
-            r, c = int(rows[0]), int(cols[0])
-            name = self.feature_names[c] if c < len(self.feature_names) else c
-            raise ValueError(f"row {r}, feature {name!r}: {features[r, c]} is not finite")
+        names = self.feature_names
+        _check_finite(labels, "row {}: label".format)
+        _check_finite(
+            features, lambda r, c: f"row {r}, feature {names[c] if c < len(names) else c!r}:"
+        )
 
     @property
     def n_rows(self) -> int:
@@ -333,11 +333,13 @@ class TabularDataset:
 # ---------------------------------------------------------------------------
 
 
-def _try_float(token: str) -> float | None:
+def _is_number(token: str) -> bool:
+    """Whether ``token`` parses as a number; ``nan`` and ``inf`` do."""
     try:
-        return float(token)
-    except ValueError:
-        return None
+        _parse_field(token, 0, "")
+    except ValueError as exc:  # raised for nan and inf too
+        return not isinstance(exc, _NotANumber)
+    return True
 
 
 def load_tabular_csv(
@@ -345,95 +347,64 @@ def load_tabular_csv(
 ) -> TabularDataset:
     """Load a CSV with a header row; the response column is standardized.
 
-    Grouping columns must be categorical (integer-valued or strings); pass
-    ``discretize_bins`` (at least 1) to bucket a continuous grouping column
-    into equal-frequency bins instead. All remaining columns must be numeric
-    and become model features (categorical grouping columns enter as
-    category codes). Labels and numeric columns must be finite: a ``nan``
-    or ``inf`` token raises ``ValueError`` naming its line and column.
+    A grouping column with a token that is not a number (nan and inf are
+    numbers) is categorical and enters the features as category codes.
+    Every other column, the label included, must hold finite numbers: a bad
+    token raises ValueError reading ``line N: column 'c': 'tok' is not
+    numeric | finite`` (``label column 'y'`` for the label). A numeric
+    grouping column must be integer-valued, or bucketed into
+    ``discretize_bins`` (at least 1) equal-frequency bins. The label may
+    not be a grouping column; every other column becomes a model feature.
     """
     if discretize_bins is not None and discretize_bins < 1:
         raise ValueError(f"discretize_bins must be >= 1, got {discretize_bins}")
+    if label_column in grouping_columns:
+        raise ValueError(f"label column {label_column!r} is also a grouping column")
     with _read_csv(path) as (header, rows):
         for col in [label_column, *grouping_columns]:
             if col not in header:
                 raise ValueError(f"{path}: column {col!r} not found in header")
         numbered = list(rows)
-    col_idx = {c: i for i, c in enumerate(header)}
     n = len(numbered)
     if n == 0:
         raise ValueError(f"{path}: no data rows")
     line_nos, table = zip(*numbered)
 
-    labels = np.empty(n)
-    for i, row in enumerate(table):
-        v = _try_float(row[col_idx[label_column]])
-        if v is None or not math.isfinite(v):
+    columns: dict[str, np.ndarray] = {}
+    group_values: dict[str, tuple] = {}
+    for j, col in enumerate(header):
+        raw = [row[j].strip() for row in table]
+        if col in grouping_columns and not all(map(_is_number, raw)):
+            group_values[col] = tuple(raw)
+            columns[col] = np.unique(raw, return_inverse=True)[1].astype(float)
+            continue
+        name = f"{'label ' if col == label_column else ''}column {col!r}"
+        values = np.array([_parse_field(t, ln, name) for t, ln in zip(raw, line_nos)])
+        columns[col] = values
+        if col not in grouping_columns:
+            continue
+        if np.array_equal(values, np.floor(values)):
+            group_values[col] = tuple(map(int, values.tolist()))
+        elif discretize_bins:
+            qs = np.quantile(values, np.linspace(0, 1, discretize_bins + 1)[1:-1])
+            group_values[col] = tuple(np.searchsorted(qs, values).tolist())
+        else:
             raise ValueError(
-                f"line {line_nos[i]}: label column {label_column!r}: "
-                f"{row[col_idx[label_column]]!r} is not "
-                f"{'numeric' if v is None else 'finite'}"
+                f"grouping column {col!r} is continuous; pass discretize_bins to bucket it"
             )
-        labels[i] = v
+
+    labels = columns.pop(label_column)
     sd = float(labels.std())
     if sd > 0:
         labels = (labels - labels.mean()) / sd
     else:
         logger.warning("constant label column %r standardized to zeros", label_column)
         labels = np.zeros(n)
-
-    group_values: dict[str, tuple] = {}
-    feature_cols: list[np.ndarray] = []
-    feature_names: list[str] = []
-    for col in header:
-        if col == label_column:
-            continue
-        raw = [row[col_idx[col]].strip() for row in table]
-        parsed = [_try_float(v) for v in raw]
-        numeric = all(p is not None for p in parsed)
-        if numeric:  # the column becomes a model feature
-            bad = next((i for i, p in enumerate(parsed) if not math.isfinite(p)), None)
-            if bad is not None:
-                raise ValueError(
-                    f"line {line_nos[bad]}: column {col!r}: {raw[bad]!r} is not finite"
-                )
-        if col in grouping_columns:
-            if numeric:
-                integral = all(float(p).is_integer() for p in parsed)
-                if integral:
-                    group_values[col] = tuple(int(p) for p in parsed)
-                elif discretize_bins:
-                    vals = np.asarray(parsed)
-                    qs = np.quantile(vals, np.linspace(0, 1, discretize_bins + 1)[1:-1])
-                    group_values[col] = tuple(int(b) for b in np.searchsorted(qs, vals))
-                else:
-                    raise ValueError(
-                        f"grouping column {col!r} is continuous; pass discretize_bins "
-                        f"to bucket it"
-                    )
-                feature_cols.append(np.asarray(parsed, dtype=float))
-                feature_names.append(col)
-            else:
-                group_values[col] = tuple(raw)
-                codes = {v: c for c, v in enumerate(sorted(set(raw)))}
-                feature_cols.append(np.array([codes[v] for v in raw], dtype=float))
-                feature_names.append(col)
-        else:
-            if not numeric:
-                bad = next(i for i, p in enumerate(parsed) if p is None)
-                raise ValueError(
-                    f"line {line_nos[bad]}: column {col!r}: {raw[bad]!r} is not numeric"
-                )
-            feature_cols.append(np.asarray(parsed, dtype=float))
-            feature_names.append(col)
-    if not feature_cols:
-        feature_cols = [np.zeros(n)]
-        feature_names = ["_const"]
     return TabularDataset(
-        features=np.column_stack(feature_cols),
+        features=np.column_stack(list(columns.values()) or [np.zeros(n)]),
         labels=labels,
         group_values=group_values,
-        feature_names=tuple(feature_names),
+        feature_names=tuple(columns) or ("_const",),
     )
 
 
@@ -600,21 +571,17 @@ class _Session:
             min_path_len=self.path_spec.min_path_len,
             cost_fn=prep.cost,
         )
-        in_universe = np.zeros(prep.y.size, dtype=bool)
-        in_universe[prep.universe] = True
         ids = np.fromiter(
             itertools.chain.from_iterable(p.edge_ids for p in paths), dtype=np.int64
         )
         # rows are in edge-id order, so a row is its id's rank among the ids
-        all_rows = np.searchsorted(self.graph.edge_ids, ids)
-        ends = np.cumsum([len(p) for p in paths])
-        members = []
-        for rows in np.split(all_rows, ends[:-1]):
-            rows = np.unique(rows)
-            rows = rows[in_universe[rows]]
-            if rows.size:
-                members.append(rows)
-        return group_csr(members)
+        rows = np.searchsorted(self.graph.edge_ids, ids)
+        owner = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
+        keep = np.isin(rows, prep.universe)
+        rows, owner = rows[keep], owner[keep]
+        # a tree path repeats no edge, so a sort within each path gives unique rows
+        sizes = np.bincount(owner, minlength=len(paths))
+        return csr_offsets(sizes[sizes > 0]), rows[np.lexsort((rows, owner))]
 
     def run_rep(self, rep: int):
         offsets, members = self._groups_for_rep(rep)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .core import IndexGroup, _read_csv
+from .core import IndexGroup, _parse_field, _read_csv
 
 __all__ = [
     "Edge",
@@ -327,25 +327,14 @@ def sample_path_groups(
 # ---------------------------------------------------------------------------
 
 
-def _parse_num(token: str, line_no: int, col: str, as_int: bool = False):
-    try:
-        return int(token) if as_int else float(token)
-    except ValueError:
-        kind = "integer" if as_int else "number"
-        raise ValueError(f"line {line_no}: column {col!r}: {token!r} is not a {kind}") from None
-
-
-def _parse_finite(token: str, line_no: int, col: str) -> float:
-    value = _parse_num(token, line_no, col)
-    if not math.isfinite(value):
-        raise ValueError(f"line {line_no}: column {col!r}: {token!r} is not finite")
-    return value
-
-
 def load_edge_list(path) -> WeightedGraph:
     """Parse an edge-list CSV; malformed rows are reported with line numbers.
 
-    Costs must be finite and non-negative, features and labels finite.
+    ``edge_id``, ``src`` and ``dst`` are integers; ``cost``, the features
+    and a non-empty ``label`` are finite numbers, and a cost is >= 0. A bad
+    field raises ValueError reading ``line N: column 'c': 'tok' is not
+    numeric | an integer | finite``, or ``line N: cost must be finite and
+    >= 0, got c``.
     """
     with _read_csv(path) as (header, rows):
         if tuple(header[:4]) != _HEADER_FIXED:
@@ -358,35 +347,28 @@ def load_edge_list(path) -> WeightedGraph:
         for d, name in enumerate(feat_cols):
             if name != f"feat_{d}":
                 raise ValueError(f"{path}: unexpected column {name!r}; expected feat_{d}")
+        feat_names = [f"column {c!r}" for c in feat_cols]
 
         edges: list[Edge] = []
         seen: dict[int, int] = {}
         for line_no, row in rows:
-            eid = _parse_num(row[0], line_no, "edge_id", as_int=True)
+            eid = _parse_field(row[0], line_no, "column 'edge_id'", int)
             if eid in seen:
                 raise ValueError(
                     f"line {line_no}: duplicate edge_id {eid} (first seen line {seen[eid]})"
                 )
             seen[eid] = line_no
-            src = _parse_num(row[1], line_no, "src", as_int=True)
-            dst = _parse_num(row[2], line_no, "dst", as_int=True)
-            cost = _parse_num(row[3], line_no, "cost")
-            if not (math.isfinite(cost) and cost >= 0):
+            src = _parse_field(row[1], line_no, "column 'src'", int)
+            dst = _parse_field(row[2], line_no, "column 'dst'", int)
+            cost = _parse_field(row[3], line_no, "column 'cost'")
+            if cost < 0:
                 raise ValueError(f"line {line_no}: cost must be finite and >= 0, got {cost}")
-            feats = None
-            if feat_cols:
-                feats = tuple(
-                    _parse_finite(row[4 + d], line_no, feat_cols[d])
-                    for d in range(len(feat_cols))
-                )
-            label = None
-            if has_label:
-                tok = row[len(header) - 1].strip()
-                if tok:
-                    label = _parse_finite(tok, line_no, "label")
-            edges.append(
-                Edge(edge_id=eid, src=src, dst=dst, cost=cost, features=feats, label=label)
-            )
+            feats = tuple([
+                _parse_field(tok, line_no, name) for tok, name in zip(row[4:], feat_names)
+            ]) or None
+            tok = row[-1].strip() if has_label else ""
+            label = _parse_field(tok, line_no, "column 'label'") if tok else None
+            edges.append(Edge(eid, src, dst, cost, features=feats, label=label))
     nodes = {e.src for e in edges} | {e.dst for e in edges}
     return WeightedGraph(nodes=nodes, edges=edges)
 
@@ -402,9 +384,10 @@ def save_edge_list(graph: WeightedGraph, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for e in graph.edges:
-            row = [e.edge_id, e.src, e.dst, repr(e.cost)]
+            # repr(float(v)): a numpy scalar's own repr is np.float64(...)
+            row = [e.edge_id, e.src, e.dst, repr(float(e.cost))]
             if n_feat:
-                row.extend(repr(v) for v in e.features)
+                row.extend(repr(float(v)) for v in e.features)
             if has_label:
-                row.append("" if e.label is None else repr(e.label))
+                row.append("" if e.label is None else repr(float(e.label)))
             writer.writerow(row)

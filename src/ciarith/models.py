@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledSample, extract_column
+from .core import LabeledSample, _check_finite, extract_column
 
 __all__ = ["FittedModel", "fit", "predict_point", "predict_quantiles"]
 
@@ -55,13 +55,16 @@ def _design(samples: Sequence[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
                 f"sample {s.index} has {f.size} features, expected {width}"
             )
         rows.append(f)
-    return np.vstack(rows), extract_column(samples, "label")[0]
+    X = np.vstack(rows)
+    _check_finite(X, lambda r, c: f"sample {samples[r].index}, feature {c}:")
+    return X, extract_column(samples, "label")[0]
 
 
 def fit_arrays(
     features: np.ndarray, labels: np.ndarray, kind: str, k_neighbors: int | None = None
 ) -> FittedModel:
-    """Array-level fit; see :func:`fit` for the record-level entry point."""
+    """Array-level fit (:func:`fit` is the record-level entry point); a nan
+    or inf feature or label raises ValueError naming its row and column."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
@@ -70,6 +73,8 @@ def fit_arrays(
         raise ValueError(f"unknown model kind {kind!r}")
     if k_neighbors is not None and k_neighbors < 1:
         raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
+    _check_finite(X, "row {}, feature {}:".format)
+    _check_finite(y, "row {}: label".format)
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -111,6 +116,7 @@ def _standardize(model: FittedModel, features) -> tuple[np.ndarray, bool]:
         raise ValueError(
             f"feature width {F.shape[1]} does not match model ({model.feat_mean.size})"
         )
+    _check_finite(F, "query row {}, feature {}:".format)
     return (F - model.feat_mean) / model.feat_scale, single
 
 

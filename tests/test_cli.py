@@ -168,6 +168,7 @@ class TestParsing:
         # simulate draws its data from --seed before the config is built
         (["simulate", "--seed", "-1"], "rng_seed must be >= 0, got -1"),
         (["group-avg", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["group-avg", "--group-by", "y"], "label column 'y' is also a grouping column"),
     ])
     def test_bad_sizes_fail_naming_the_field(self, argv, field, grid_graph_csv,
                                              tiny_tabular_csv, tmp_path, capsys):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from ciarith.core import (
     _SUM_FIELDS,
+    _NotANumber,
+    _parse_field,
     IndexGroup,
     IntervalPrediction,
     LabeledSample,
@@ -36,6 +38,26 @@ def sort_oracle(scores, alpha: Fraction) -> float:
     if k > n:
         return math.inf
     return sorted(scores)[k - 1]
+
+
+class TestParseField:
+    @pytest.mark.parametrize("token, kind, message", [
+        ("abc", float, "line 7: column 'c': 'abc' is not numeric"),
+        ("1.5", int, "line 7: column 'c': '1.5' is not an integer"),
+        ("nan", int, "line 7: column 'c': 'nan' is not an integer"),
+        ("-inf", float, "line 7: column 'c': '-inf' is not finite"),
+    ])
+    def test_bad_token_message(self, token, kind, message):
+        with pytest.raises(ValueError) as err:
+            _parse_field(token, 7, "column 'c'", kind)
+        assert str(err.value) == message
+        # only a token that is no number of the kind raises the subclass
+        assert isinstance(err.value, _NotANumber) == (not message.endswith("finite"))
+
+    def test_parses_int_and_float(self):
+        value = _parse_field(" 12 ", 1, "column 'c'", int)
+        assert value == 12 and type(value) is int
+        assert _parse_field("-2.5e1", 1, "column 'c'") == -25.0
 
 
 class TestConformalQuantile:

@@ -140,6 +140,22 @@ class TestLoadTabularCsv:
         with pytest.raises(ValueError, match=where):
             load_tabular_csv(p, "y", ["g"])
 
+    def test_label_column_cannot_be_a_grouping_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("y,g\n1,0\n2,1\n3,0\n")
+        with pytest.raises(ValueError, match="label column 'y' is also a grouping column"):
+            load_tabular_csv(p, "y", ["y"])
+
+    def test_grouping_column_with_any_word_is_categorical(self, tmp_path):
+        # nan and inf are numbers, but a word anywhere makes the column
+        # categorical, whichever token comes first
+        p = tmp_path / "d.csv"
+        p.write_text("y,state,x\n1,nan,0.5\n2,tx,0.1\n3,inf,0.2\n4,nan,0.3\n")
+        ds = load_tabular_csv(p, "y", ["state"])
+        assert ds.group_values["state"] == ("nan", "tx", "inf", "nan")
+        assert ds.features[:, 0].tolist() == [1.0, 2.0, 0.0, 1.0]  # inf, nan, tx
+        assert ds.feature_names == ("state", "x")
+
     def test_repeated_column_name_rejected_with_both_positions(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("y,a,a,g\n1.0,2.0,5.0,1\n2.0,3.0,6.0,2\n3.0,1.0,7.0,1\n")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciarith import graph as graph_module
 from ciarith import kernels
@@ -372,6 +374,43 @@ class TestEdgeListIO:
         g2 = load_edge_list(path)
         assert g2 == g
         assert np.isnan(g2.labels).sum() == sum(1 for e in edges if e.label is None)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_python_and_numpy_scalars_round_trip(self, tmp_path_factory, data):
+        # numpy 2 reprs a numpy scalar as np.float64(...); the file must hold
+        # the number itself
+        scalar = st.sampled_from([float, np.float64, np.float32])
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        n_feat = data.draw(st.integers(0, 2))
+        edges = []
+        for i in range(data.draw(st.integers(1, 5))):
+            cast = data.draw(scalar)
+            feats = tuple(cast(data.draw(finite)) for _ in range(n_feat)) or None
+            label = data.draw(st.none() | finite.map(cast))
+            cost = cast(data.draw(st.floats(0, 1e6)))
+            edges.append(Edge(i, i, i + 1, cost, features=feats, label=label))
+        g = WeightedGraph(nodes=range(len(edges) + 1), edges=edges)
+        path = tmp_path_factory.mktemp("rt") / "g.csv"
+        save_edge_list(g, path)
+        g2 = load_edge_list(path)
+        assert g2 == g
+        assert np.array_equal(g2.costs, g.costs)
+        assert np.array_equal(g2.labels, g.labels, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0,1,2,abc", "line 2: column 'cost': 'abc' is not numeric"),
+         ("0,1,2,nan", "line 2: column 'cost': 'nan' is not finite"),
+         ("1.5,1,2,1.0", "line 2: column 'edge_id': '1.5' is not an integer"),
+         ("0,x,2,1.0", "line 2: column 'src': 'x' is not an integer"),
+         ("0,1,2,-1", r"line 2: cost must be finite and >= 0, got -1.0")],
+    )
+    def test_bad_field_message(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"edge_id,src,dst,cost\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_edge_list(path)
 
     def test_negative_cost_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -242,6 +242,43 @@ class TestFitValidation:
         q = rng.normal(size=(4, 3))
         assert np.array_equal(predict_point(m1, q), predict_point(m2, q))
 
+    @pytest.mark.parametrize("kind", ["mean", "linear_ls", "knn"])
+    def test_non_finite_training_feature_names_row_and_column(self, kind):
+        X = np.arange(10.0).reshape(5, 2)
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^row 3, feature 1: nan is not finite$"):
+            fit_arrays(X, np.arange(5.0), kind)
+
+    @pytest.mark.parametrize("kind", ["mean", "linear_ls", "knn"])
+    def test_non_finite_training_label_names_row(self, kind):
+        y = np.arange(5.0)
+        y[2] = -np.inf
+        with pytest.raises(ValueError, match=r"^row 2: label -inf is not finite$"):
+            fit_arrays(np.arange(5.0)[:, None], y, kind)
+
+    def test_fit_names_the_sample_index(self):
+        train = [LabeledSample(40 + i, features=np.array([float(i), 1.0]), label=float(i))
+                 for i in range(4)]
+        train[2] = LabeledSample(42, features=np.array([2.0, np.inf]), label=2.0)
+        with pytest.raises(ValueError, match=r"^sample 42, feature 1: inf is not finite$"):
+            fit(train, "knn")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["linear_ls", "knn"])
+    def test_non_finite_query_row_rejected(self, kind, bad):
+        m = fit_arrays(np.arange(20.0).reshape(10, 2), np.arange(10.0), kind, k_neighbors=3)
+        queries = np.zeros((3, 2))
+        queries[1, 0] = bad
+        calls = [lambda q: predict_point(m, q)]
+        if kind == "knn":
+            calls += [lambda q: predict_quantiles(m, q, (0.1, 0.9)),
+                      lambda q: neighbor_labels(m, q)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^query row 1, feature 0: {bad} is"):
+                call(queries)
+            with pytest.raises(ValueError, match=r"^query row 0, feature 0: "):
+                call(queries[1])
+
     def test_feature_width_mismatch_at_predict(self):
         m = fit(rows([[0.0, 1.0]], [1]), "mean")
         with pytest.raises(ValueError, match="width"):
