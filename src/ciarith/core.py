@@ -534,17 +534,20 @@ class _NotANumber(ValueError):
     """A CSV token that does not parse as the number asked for."""
 
 
-def _parse_field(token: str, line_no: int, column: str, kind: type = float):
+def _parse_field(
+    token: str, line_no: int, column: str, kind: type = float, finite: bool = True
+):
     """CSV field ``token`` as a ``kind`` (int or float); ``column`` names it
     in errors, as in ``column 'c'``. A bad token raises ValueError reading
     ``line N: column 'c': 'tok' is not numeric | an integer`` (as
-    :class:`_NotANumber`) or, for a nan or inf float, ``... is not finite``.
+    :class:`_NotANumber`) or, for a nan or inf float unless ``finite`` is
+    False, ``... is not finite``.
     """
     try:
         value = kind(token)
     except ValueError:
         what = "an integer" if kind is int else "numeric"
         raise _NotANumber(f"line {line_no}: {column}: {token!r} is not {what}") from None
-    if kind is float and not math.isfinite(value):
+    if kind is float and finite and not math.isfinite(value):
         raise ValueError(f"line {line_no}: {column}: {token!r} is not finite")
     return value

@@ -17,6 +17,7 @@ import math
 import os
 from typing import Sequence
 
+from .core import _parse_field, _read_csv
 from .experiments import MethodResult, OverlapStudyRow
 
 __all__ = [
@@ -93,10 +94,27 @@ def write_results_csv(results: Sequence[MethodResult], path) -> None:
 
 
 def read_results_csv(path) -> list[MethodResult]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The rows of a results.csv as written by :func:`write_results_csv`.
+
+    Numbers may be inf or nan, as the writer writes them. A missing column
+    raises ValueError naming it; a bad cell raises ValueError reading
+    ``line N: column 'c': 'tok' is not numeric | an integer``.
+    """
+    with _read_csv(path) as (header, rows):
+        for name in RESULTS_HEADER:
+            if name not in header:
+                raise ValueError(f"{path}: column {name!r} not found in header")
+        cells = [
+            (header.index(name), fld, parse, f"column {name!r}")
+            for name, fld, parse in _RESULTS_COLUMNS
+        ]
         return [
-            MethodResult(**{fld: parse(row[name]) for name, fld, parse in _RESULTS_COLUMNS})
-            for row in csv.DictReader(fh)
+            MethodResult(**{
+                fld: row[j] if parse is str
+                else _parse_field(row[j], line_no, column, parse, finite=False)
+                for j, fld, parse, column in cells
+            })
+            for line_no, row in rows
         ]
 
 

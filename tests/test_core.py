@@ -59,6 +59,12 @@ class TestParseField:
         assert value == 12 and type(value) is int
         assert _parse_field("-2.5e1", 1, "column 'c'") == -25.0
 
+    def test_non_finite_floats_only_on_request(self):
+        assert _parse_field("inf", 1, "column 'c'", finite=False) == math.inf
+        assert math.isnan(_parse_field("nan", 1, "column 'c'", finite=False))
+        with pytest.raises(_NotANumber, match="'x' is not numeric"):
+            _parse_field("x", 1, "column 'c'", finite=False)
+
 
 class TestConformalQuantile:
     def test_middle_order_statistic(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from ciarith.experiments import MethodResult, OverlapStudyRow
 from ciarith.report import (
+    RESULTS_HEADER,
     emit_report,
     read_results_csv,
     render_coverage_chart,
@@ -49,6 +51,52 @@ class TestResultsCsv:
         write_results_csv([result(size=math.inf)], p)
         (back,) = read_results_csv(p)
         assert math.isinf(back.mean_size)
+
+    def test_every_written_token_reads_back(self, tmp_path):
+        rows = [
+            result("cia_split", 0.1, size=math.inf),
+            result("bonf_split", 0.1, cov=math.nan, size=-math.inf),
+            result("normal", 0.05, 0.9, 1.25),
+        ]
+        p = tmp_path / "results.csv"
+        write_results_csv(rows, p)
+        back = {(r.method, r.alpha): r for r in read_results_csv(p)}
+        fields = ("mean_coverage", "coverage_std", "mean_size", "size_std", "reps",
+                  "infinite_interval_count")
+        for r in rows:
+            b = back[(r.method, r.alpha)]
+            for fld in fields:
+                want, got = getattr(r, fld), getattr(b, fld)
+                assert got == want or (math.isnan(want) and math.isnan(got)), fld
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("cia_split,0.1,0.9,0.01,x,0.2,10,0\n", "line 2: column 'size_mean': 'x' is not numeric"),
+            ("cia_split,0.1,0.9,0.01,2.5,0.2,1.5,0\n", "line 2: column 'reps': '1.5' is not an integer"),
+            ("cia_split,0.1,0.9,0.01,2.5,0.2,10,0\n\nb,0.1,0.9,0.01,2.5,oops,10,0\n",
+             "line 4: column 'size_std': 'oops' is not numeric"),
+            ("cia_split,0.1,0.9,0.01,2.5,0.2,10\n", "line 2: expected 8 fields, got 7"),
+        ],
+    )
+    def test_bad_cell_fails_naming_line_and_column(self, tmp_path, body, message):
+        p = tmp_path / "results.csv"
+        p.write_text(",".join(RESULTS_HEADER) + "\n" + body)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_results_csv(p)
+
+    def test_missing_column_is_named(self, tmp_path):
+        p = tmp_path / "results.csv"
+        header = [c for c in RESULTS_HEADER if c != "coverage_std"]
+        p.write_text(",".join(header) + "\ncia_split,0.1,0.9,2.5,0.2,10,0\n")
+        with pytest.raises(ValueError, match="column 'coverage_std' not found"):
+            read_results_csv(p)
+
+    def test_empty_file_is_named(self, tmp_path):
+        p = tmp_path / "results.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_results_csv(p)
 
     def test_rows_sorted_by_method_then_alpha(self, tmp_path):
         rows = [result("b", 0.2), result("a", 0.2), result("b", 0.1)]

@@ -1,5 +1,6 @@
-"""Runtime code must not import scipy: it is a test tool only, and no
-module keeps an import it does not use.
+"""Runtime code must not import scipy: it is a test tool only. No module
+keeps an import it does not use, and the kernels module runs no matrix
+product (a BLAS call).
 
 The scipy probe runs in a child process, because the test session itself
 may have imported scipy already.
@@ -72,3 +73,21 @@ def test_no_module_imports_a_name_it_never_uses():
         if names
     }
     assert not unused, unused
+
+
+_MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "tensordot"}
+
+
+def test_kernels_module_runs_no_matrix_product():
+    # a matrix product is a multithreaded BLAS call; the overlap kernel
+    # counts shared members by sorting and must stay single-threaded
+    path = Path(ciarith.__file__).resolve().parent / "kernels.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in _MATRIX_PRODUCTS:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Name) and node.id in _MATRIX_PRODUCTS:
+            found.append(f"{node.id} (line {node.lineno})")
+    assert not found, found
