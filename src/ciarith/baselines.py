@@ -77,14 +77,15 @@ def group_sampling_threshold(
     cols: Sequence[np.ndarray],
     sizes,
     alpha: float,
-    score_kind: str,
+    score: Callable[..., np.ndarray],
     K: int | None,
     permutation: Callable[[int], np.ndarray],
 ) -> np.ndarray:
     """Each target's score threshold from K disjoint groups drawn from calibration.
 
-    ``cols`` is (y, point_pred) for the split kind or (y, quant_lo,
-    quant_hi) for the quantile kind, over the n_cal calibration rows.
+    ``cols`` holds the columns ``score`` reads over the n_cal calibration
+    rows: (y, point_pred) for the split score, (y, quant_lo, quant_hi)
+    for the quantile-band score.
     Target t has test size ``sizes[t]`` = m and draws its K size-m groups
     as the first K·m entries of ``permutation(t)``, a permutation of
     range(n_cal). K defaults to floor(n_cal / m); a larger request is
@@ -95,7 +96,6 @@ def group_sampling_threshold(
     and each row's scores and threshold equal the one-target computation
     bit for bit.
     """
-    score, _ = scoring.score_kind(score_kind)
     check_alpha(alpha)
     sizes = np.asarray(sizes, dtype=np.int64)
     n_cal = cols[0].size
@@ -141,7 +141,7 @@ def group_sampling_predict(
     assumption here, not a property inherited from the data.
     """
     check_alpha(alpha)
-    _, fields = scoring.score_kind(score_kind)
+    score, fields = scoring.score_kind(score_kind)
     m = len(target_test_samples)
     if m == 0:
         return _prediction(group_id, alpha, [0.0], [0.0])
@@ -149,7 +149,7 @@ def group_sampling_predict(
     sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
     rng = np.random.default_rng(rng_seed)
     q = group_sampling_threshold(
-        cols, [m], alpha, score_kind, K, lambda t: rng.permutation(len(cal_samples))
+        cols, [m], alpha, score, K, lambda t: rng.permutation(len(cal_samples))
     )
     return _prediction(group_id, alpha, *interval_from_threshold(q, sums))
 

@@ -37,10 +37,13 @@ from .core import (
     IntervalPrediction,
     LabeledSample,
     SplitAssignment,
+    check_alpha,
     columns_at,
     csr_offsets,
     group_csr,
     interval_bounds,
+    kth_smallest,
+    leave_out_positions,
     loo_thresholds,
     per_group,
 )
@@ -91,86 +94,42 @@ class GroupSplitView:
 
 @dataclass(frozen=True)
 class StrataSpec:
-    """Contiguous integer buckets partitioning the positive group sizes.
+    """Integer size buckets cut at sorted points: bucket j holds the sizes
+    s with ``cuts[j - 1] < s <= cuts[j]`` and the last is open-ended, so
+    ``cuts=()`` is one bucket. Size 0 (an empty calibration side) lands in
+    bucket 0, which makes one bucket reproduce the unstratified pool.
 
-    ``buckets`` is an ordered tuple of inclusive (lo, hi) ranges; the last
-    range is open-ended (hi is None). A bucket whose score pool ends up
-    thinner than ``min_bucket_count`` is merged with the adjacent bucket
-    holding more groups (ties prefer the lower bucket) until the bound
-    holds or a single bucket remains.
+    A bucket whose score pool ends up thinner than ``min_bucket_count`` is
+    merged with the adjacent bucket holding more groups (ties prefer the
+    lower bucket) until the bound holds or a single bucket remains.
     """
 
-    buckets: tuple[tuple[int, int | None], ...]
+    cuts: tuple[int, ...]
     min_bucket_count: int = 20
 
     def __post_init__(self):
         if self.min_bucket_count < 1:
             raise ValueError("min_bucket_count must be >= 1")
-        if not self.buckets:
-            raise ValueError("at least one bucket is required")
-        lo0 = self.buckets[0][0]
-        if lo0 != 1:
-            raise ValueError("first bucket must start at 1")
-        prev_hi = 0
-        for pos, (lo, hi) in enumerate(self.buckets):
-            if lo != prev_hi + 1:
-                raise ValueError(f"bucket {pos} starts at {lo}, expected {prev_hi + 1}")
-            last = pos == len(self.buckets) - 1
-            if last:
-                if hi is not None:
-                    raise ValueError("last bucket must be open-ended")
-                break
-            if hi is None or hi < lo:
-                raise ValueError(f"bucket {pos} has invalid upper bound {hi}")
-            prev_hi = hi
+        cuts = list(self.cuts)
+        if cuts != sorted(set(cuts)) or min(cuts, default=1) < 1:
+            raise ValueError(f"cuts must be positive and strictly increasing, got {self.cuts}")
 
     @classmethod
-    def single(cls, min_bucket_count: int = 1) -> "StrataSpec":
-        return cls(buckets=((1, None),), min_bucket_count=min_bucket_count)
-
-    @classmethod
-    def from_cal_sizes(
-        cls, cal_sizes, n_buckets: int = 4, min_bucket_count: int = 20
-    ) -> "StrataSpec":
-        """Quantile-based buckets from observed calibration-side sizes.
-
-        Cut points sit at the 1/n_buckets quantiles of the positive sizes;
-        duplicate cuts collapse, so fewer buckets may result.
-        """
+    def from_cal_sizes(cls, cal_sizes) -> "StrataSpec":
+        """Cuts at the lower quartiles of the positive calibration-side
+        sizes; equal cuts collapse, so fewer than four buckets may result."""
         sizes = np.asarray(cal_sizes, dtype=int)
         sizes = sizes[sizes > 0]
-        if sizes.size == 0 or n_buckets <= 1:
-            return cls.single(min_bucket_count)
-        qs = [j / n_buckets for j in range(1, n_buckets)]
-        cuts = sorted(set(int(c) for c in np.quantile(sizes, qs, method="lower")))
-        buckets: list[tuple[int, int | None]] = []
-        lo = 1
-        for c in cuts:
-            if c >= lo:
-                buckets.append((lo, c))
-                lo = c + 1
-        buckets.append((lo, None))
-        return cls(buckets=tuple(buckets), min_bucket_count=min_bucket_count)
+        cuts = np.quantile(sizes, (0.25, 0.5, 0.75), method="lower").tolist() if sizes.size else []
+        return cls(tuple(sorted(set(map(int, cuts)))))
 
-    def bucket_index(self, size: int) -> int:
-        if size < 1:
-            raise ValueError(f"no bucket covers size {size}")
-        return int(self.bucket_index_array(size))
+    @property
+    def n_buckets(self) -> int:
+        return len(self.cuts) + 1
 
     def bucket_index_array(self, sizes) -> np.ndarray:
-        """Vector bucket lookup.
-
-        Size 0 (a group with an empty calibration side) joins the first
-        bucket: such groups stay in the pool of the unstratified engine,
-        and keeping them here makes a single all-covering bucket reproduce
-        it exactly.
-        """
-        sizes = np.asarray(sizes, dtype=int)
-        out = np.zeros(sizes.shape, dtype=int)
-        for j, (lo, hi) in enumerate(self.buckets):
-            m = sizes >= lo if hi is None else (sizes >= lo) & (sizes <= hi)
-            out[m] = j
-        return out
+        """The bucket of each size."""
+        return np.searchsorted(self.cuts, np.asarray(sizes, dtype=int))
 
     def merged_range(self, counts, j: int) -> tuple[int, int]:
         """Merge buckets around ``j`` until the pooled count meets the bound.
@@ -293,34 +252,29 @@ def stratified_thresholds(
 
     ``scores`` and ``cal_sizes`` cover the pool's groups. Target i has
     test-side size ``test_sizes[i]`` and is pool group ``leave_out[i]``,
-    whose own score is left out; a negative entry means the target is not
-    in the pool. Leaving a target out lowers the count of its own
-    calibration bucket by one, so its merged bucket range depends only on
-    (bucket of its test size, bucket of its calibration size): targets are
-    grouped by that pair and each pair's pool is sorted once.
+    whose own score is left out. Leaving a target out lowers the count of
+    its own calibration bucket by one, so its merged bucket range depends
+    only on (bucket of its test size, bucket of its calibration size):
+    targets are grouped by that pair and each pair's pool is sorted once.
     """
+    check_alpha(alpha)
     test_sizes = np.asarray(test_sizes, dtype=np.int64)
-    leave_out = np.asarray(leave_out, dtype=np.int64)
     if np.any(test_sizes < 1):
         raise ValueError("stratified prediction needs a non-empty test side")
     buckets = strata.bucket_index_array(cal_sizes)
-    counts = np.bincount(buckets, minlength=len(strata.buckets))
+    leave_out = leave_out_positions(leave_out, buckets.size)
+    counts = np.bincount(buckets, minlength=strata.n_buckets)
     test_b = strata.bucket_index_array(test_sizes)
-    own_b = np.full(leave_out.size, -1)
-    own = leave_out >= 0
-    own_b[own] = buckets[leave_out[own]]
+    own_b = buckets[leave_out]
     q = np.empty(leave_out.size)
     for j, b in set(zip(test_b.tolist(), own_b.tolist())):
-        without_target = counts.copy()
-        if b >= 0:
-            without_target[b] -= 1
-        lo, hi = strata.merged_range(without_target, j)
+        lo, hi = strata.merged_range(counts - (np.arange(counts.size) == b), j)
         pool = np.flatnonzero((buckets >= lo) & (buckets <= hi))
         sel = (test_b == j) & (own_b == b)
-        pos = np.full(int(sel.sum()), -1)
         if lo <= b <= hi:  # these targets sit in their own pool: leave each out
-            pos = np.searchsorted(pool, leave_out[sel])
-        q[sel] = loo_thresholds(scores[pool], alpha, pos)
+            q[sel] = loo_thresholds(scores[pool], alpha, np.searchsorted(pool, leave_out[sel]))
+        else:
+            q[sel] = kth_smallest(scores[pool], alpha)
     return q
 
 
@@ -330,19 +284,22 @@ def stratified_thresholds(
 
 
 def _record_pool(views, samples, target_group, score_kind):
-    """The target's view, the other views' calibration sizes and scores,
-    and the target's test-side sums as the rows of a (fields x 1) array."""
-    target = next((v for v in views if v.group_id == target_group), None)
-    if target is None:
+    """The target's position among ``views``, every view's calibration
+    size and score, and the target's test-side sums as the rows of a
+    (fields x 1) array."""
+    at = [i for i, v in enumerate(views) if v.group_id == target_group]
+    if not at:
         raise ValueError(f"target group {target_group} not found among views")
-    others = [v.cal_members for v in views if v.group_id != target_group]
+    if len(at) > 1:
+        raise ValueError(f"target group {target_group} appears {len(at)} times among views")
     score, fields = scoring.score_kind(score_kind)
-    sizes = list(map(len, others))
-    members = np.fromiter(chain.from_iterable(others), dtype=np.int64, count=sum(sizes))
+    cal = [v.cal_members for v in views]
+    sizes = list(map(len, cal))
+    members = np.fromiter(chain.from_iterable(cal), dtype=np.int64, count=sum(sizes))
     cols = columns_at(samples, members, *fields)
     scores = per_group(score, csr_offsets(sizes), np.arange(members.size), *cols)
-    test = columns_at(samples, target.test_members, *fields[1:])
-    return target, sizes, scores, test.sum(axis=-1, keepdims=True)
+    test = columns_at(samples, views[at[0]].test_members, *fields[1:])
+    return at[0], sizes, scores, test.sum(axis=-1, keepdims=True)
 
 
 def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:
@@ -361,13 +318,14 @@ def cia_predict(
 ) -> IntervalPrediction:
     """Interval for the target group's test-side label sum.
 
-    The score pool holds every *other* group's calibration score (empty
-    calibration sides contribute score 0 and stay in the pool). With the
+    Every group is scored on its calibration side and, as in the
+    experiment harness, the target's own score is left out of the pool
+    (empty calibration sides contribute score 0 and stay in it). With the
     ``split`` kind the interval is the predicted test sum plus/minus the
     threshold; with ``cqr`` the threshold pads the summed quantile band.
     """
-    _, _, scores, sums = _record_pool(views, samples, target_group, score_kind)
-    q = loo_thresholds(scores, alpha, [-1])
+    t, _, scores, sums = _record_pool(views, samples, target_group, score_kind)
+    q = loo_thresholds(scores, alpha, [t])
     return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
 
@@ -385,12 +343,13 @@ def stratified_cia_predict(
     the bucket covering the target's test-side size; thin buckets merge
     with neighbours per the strata spec. Groups with an empty calibration
     side pool with the smallest-size bucket (score 0, as in the
-    unstratified engine).
+    unstratified engine). The default strata are cut from the other
+    groups' calibration sizes.
     """
-    target, cal_sizes, scores, sums = _record_pool(views, samples, target_group, score_kind)
+    t, cal_sizes, scores, sums = _record_pool(views, samples, target_group, score_kind)
     if strata is None:
-        strata = StrataSpec.from_cal_sizes(cal_sizes)
-    q = stratified_thresholds(scores, cal_sizes, [target.test_size], [-1], strata, alpha)
+        strata = StrataSpec.from_cal_sizes(cal_sizes[:t] + cal_sizes[t + 1:])
+    q = stratified_thresholds(scores, cal_sizes, [views[t].test_size], [t], strata, alpha)
     return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
 

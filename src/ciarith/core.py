@@ -236,8 +236,6 @@ class SampleSet:
                 raise ValueError(f"duplicate sample index {s.index}")
             by_index[s.index] = s
         self._by_index = by_index
-        # built by _cols on first use and published as one object, so a
-        # reader never sees half-built columns
         self._columns: _SampleColumns | None = None
 
     def __getitem__(self, index: int) -> LabeledSample:
@@ -378,27 +376,33 @@ def score_threshold(scores, alpha: float) -> Threshold:
     return Threshold(float(kth_smallest(s, alpha)), alpha, s.size)
 
 
+def leave_out_positions(leave_out, n: int) -> np.ndarray:
+    """``leave_out`` as positions into a pool of ``n``; ValueError names one outside [0, n)."""
+    t = np.asarray(leave_out, dtype=np.int64)
+    bad = (t < 0) | (t >= n)
+    if bad.any():
+        raise ValueError(f"leave-out position {t[bad][0]} is outside [0, {n})")
+    return t
+
+
 def loo_thresholds(scores, alpha: float, leave_out) -> np.ndarray:
     """The threshold of ``scores`` without entry t, for each t in
-    ``leave_out``, from one stable sort; a negative t removes nothing.
+    ``leave_out``, from one stable sort.
 
     With t removed from a pool of G scores, k = ceil(G * (1 - alpha)) and
     the k-th smallest survivor sits at sorted position k - 1 when t ranks
     at or after k, else at position k (the order-statistic trick of
     jackknife+). The +inf sentinel appended to the sorted scores is picked
-    exactly when k exceeds the pool size.
+    exactly when k exceeds G - 1.
     """
     s = _finite_scores(_checked_scores(scores, alpha))
+    t = leave_out_positions(leave_out, s.size)
     order = np.argsort(s, kind="stable")
     srt = np.append(s[order], math.inf)
     pos = np.empty(s.size, dtype=np.int64)
     pos[order] = np.arange(s.size)
-    t = np.asarray(leave_out, dtype=np.int64)
-    own = t >= 0
-    k = np.where(own, _ceil_rank(s.size - 1, alpha), _ceil_rank(s.size, alpha))
-    below = np.zeros(t.shape, dtype=bool)
-    below[own] = pos[t[own]] < k[own]
-    return srt[k - 1 + below]
+    k = _ceil_rank(s.size - 1, alpha)
+    return srt[k - 1 + (pos[t] < k)]
 
 
 def conformal_quantile(scores, alpha: float) -> Threshold:

@@ -224,6 +224,13 @@ def _seeded_permutations(seed_words: np.ndarray, n: int):
     return draw
 
 
+def _check_distinct(name: str, values: Sequence) -> None:
+    """ValueError naming the first value of ``values`` seen twice."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{name} repeats {repeated[0]!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alphas: tuple[float, ...]
@@ -248,6 +255,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHOD_IDS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        _check_distinct("alphas", self.alphas)
+        _check_distinct("methods", self.methods)
         if self.split_mode not in ("balanced", "bernoulli"):
             raise ValueError(f"unknown split mode {self.split_mode!r}")
         if self.knn_k is not None and self.knn_k < 1:
@@ -668,7 +677,7 @@ class _Session:
                 (self.config.seed, _STREAM_GSAMP, rep, METHOD_IDS.index(method)), sizes.size
             )
             q = baselines.group_sampling_threshold(
-                cal_cols, sizes, alpha, kind, None,
+                cal_cols, sizes, alpha, score, None,
                 _seeded_permutations(seeds, split.cal_rows.size),
             )
         elif method.endswith("_strat"):
@@ -821,12 +830,14 @@ def overlap_gap_study(
     rows; a row whose path sampling yields no usable rep is skipped with a
     warning.
     """
+    min_len_grid = [int(m) for m in min_len_grid]
+    _check_distinct("min_len_grid", min_len_grid)
     prep = _prepare_graph(graph, config)
     rows: list[OverlapStudyRow] = []
     for min_len in min_len_grid:
         session = _Session(
             config, prep, graph=graph,
-            path_spec=PathSampling(n_paths=n_paths, min_path_len=int(min_len)),
+            path_spec=PathSampling(n_paths=n_paths, min_path_len=min_len),
             collect_deltas=True,
         )
         results, deltas = _run_session(session)
@@ -838,7 +849,7 @@ def overlap_gap_study(
         for r in results:
             rows.append(
                 OverlapStudyRow(
-                    min_len=int(min_len),
+                    min_len=min_len,
                     method=r.method,
                     alpha=r.alpha,
                     delta_avg=d_avg,

@@ -121,8 +121,7 @@ class WeightedGraph:
             e = self.edges[bad[0]]
             raise ValueError(f"edge {e.edge_id} has non-finite label {e.label}")
         # (read-only copy of the costs, their adjacency lists,
-        # {source position: pred_edge}), swapped as one object so readers
-        # never see a mixed entry
+        # {source position: pred_edge})
         self._trees: tuple[np.ndarray | None, list | None, OrderedDict[int, array]] = (
             None, None, OrderedDict()
         )
@@ -186,11 +185,8 @@ class WeightedGraph:
         if tree is None:
             tree = array("i", kernels.dijkstra_arrays(adj, source_pos, -1)[2])
             capacity = max(1, _TREE_CACHE_BYTES // (tree.itemsize * len(tree)))
-            while len(trees) >= capacity:
-                try:
-                    trees.popitem(last=False)
-                except KeyError:  # emptied by another thread meanwhile
-                    break
+            if len(trees) >= capacity:
+                trees.popitem(last=False)
             trees[source_pos] = tree
         return tree
 

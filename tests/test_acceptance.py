@@ -240,7 +240,7 @@ def test_a6_degeneracies():
         if tgt is None:
             continue
         plain = cia_predict(views, ss, tgt, 0.2, "split")
-        strat = stratified_cia_predict(views, ss, tgt, 0.2, "split", StrataSpec.single())
+        strat = stratified_cia_predict(views, ss, tgt, 0.2, "split", StrataSpec(()))
         assert (plain.lower, plain.upper) == (strat.lower, strat.upper)
         cqr = cia_predict(views, ss, tgt, 0.2, "cqr")
         assert (plain.lower, plain.upper) == (cqr.lower, cqr.upper)
@@ -293,15 +293,13 @@ def test_a8_stratified_per_stratum_coverage():
         test = [m[~is_cal[m]] for m in members]
         scores = np.array([abs(y[c].sum()) if c.size else 0.0 for c in cal])
         cal_sizes = np.array([c.size for c in cal])
-        strata = StrataSpec.from_cal_sizes(cal_sizes, n_buckets=4, min_bucket_count=20)
+        strata = StrataSpec.from_cal_sizes(cal_sizes)
         for t in range(n_groups):
             m_t = test[t].size
             if m_t == 0:
                 continue
-            q = stratified_thresholds(
-                np.delete(scores, t), np.delete(cal_sizes, t), [m_t], [-1], strata, 0.1
-            )[0]
-            j = strata.bucket_index(m_t)
+            q = stratified_thresholds(scores, cal_sizes, [m_t], [t], strata, 0.1)[0]
+            j = int(strata.bucket_index_array(m_t))
             hits[j] = hits.get(j, 0) + (abs(y[test[t]].sum()) <= q)
             totals[j] = totals.get(j, 0) + 1
     assert len(totals) == 4

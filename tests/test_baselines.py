@@ -118,11 +118,12 @@ class TestGroupSamplingBatched:
         generators, per-target loop); a ValueError of any side propagates."""
         words = np.array([[s & 0xFFFFFFFF, s >> 32] for s in seeds], dtype=np.uint32)
         n_cal = cols[0].size
+        score, _ = scoring.score_kind(kind)
         return (
-            group_sampling_threshold(cols, sizes, alpha, kind, K,
+            group_sampling_threshold(cols, sizes, alpha, score, K,
                                      _seeded_permutations(words, n_cal)),
             group_sampling_threshold(
-                cols, sizes, alpha, kind, K,
+                cols, sizes, alpha, score, K,
                 lambda t: np.random.default_rng(seeds[t]).permutation(n_cal)),
             per_target_thresholds(cols, sizes, alpha, kind, K, seeds),
         )
@@ -159,7 +160,7 @@ class TestGroupSamplingBatched:
         with pytest.raises(ValueError):
             per_target_thresholds(cols, [3, 9], 0.2, "split", None, [1, 2])
         with pytest.raises(ValueError, match="at least 9 calibration samples, have 8"):
-            group_sampling_threshold(cols, [3, 9], 0.2, "split", None,
+            group_sampling_threshold(cols, [3, 9], 0.2, scoring.split_score, None,
                                      lambda t: np.random.default_rng(t).permutation(8))
 
     @pytest.mark.parametrize("kind", ["split", "cqr"])
@@ -169,13 +170,13 @@ class TestGroupSamplingBatched:
         with pytest.raises(ValueError, match="finite"):
             per_target_thresholds(cols, [1, 4], 0.2, kind, None, [7, 8])
         with pytest.raises(ValueError, match="finite"):
-            group_sampling_threshold(cols, [1, 4], 0.2, kind, None,
+            group_sampling_threshold(cols, [1, 4], 0.2, scoring.score_kind(kind)[0], None,
                                      lambda t: np.random.default_rng(t).permutation(12))
 
     def test_k_below_one_raises(self):
         cols = self._cols(np.random.default_rng(35), 10, "split")
         with pytest.raises(ValueError, match="K must be at least 1"):
-            group_sampling_threshold(cols, [2], 0.2, "split", 0,
+            group_sampling_threshold(cols, [2], 0.2, scoring.split_score, 0,
                                      lambda t: np.random.default_rng(t).permutation(10))
 
 

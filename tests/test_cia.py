@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciarith import kernels
 from ciarith.cia import (
@@ -176,6 +178,13 @@ class TestCiaPredict:
         with pytest.raises(ValueError, match="not found"):
             cia_predict(views, samples, 77, alpha=0.5)
 
+    @pytest.mark.parametrize("predict", [cia_predict, stratified_cia_predict])
+    def test_repeated_target_rejected(self, predict):
+        views, samples = _pool_fixture()
+        twice = [*views, GroupSplitView(0, (), ())]
+        with pytest.raises(ValueError, match="target group 0 appears 2 times among views"):
+            predict(twice, samples, 0, alpha=0.5)
+
     def test_interval_symmetry_exact(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
@@ -314,41 +323,53 @@ class TestRankSwap:
         assert n_moved > 0  # the paths overlap, so some scores do move
 
 
+def range_bucket(cuts, size):
+    """Bucket of ``size`` under the inclusive (lo, hi) ranges the cuts
+    describe: (1, c1), (c1 + 1, c2), ..., (c_last + 1, open); size 0
+    joins the first bucket."""
+    lo = 1
+    for j, c in enumerate(cuts):
+        if lo <= size <= c:
+            return j
+        lo = c + 1
+    return len(cuts) if size >= lo else 0
+
+
 class TestStrataSpec:
     def test_validation(self):
-        with pytest.raises(ValueError, match="start at 1"):
-            StrataSpec(buckets=((2, 5), (6, None)))
-        with pytest.raises(ValueError, match="expected 6"):
-            StrataSpec(buckets=((1, 5), (7, None)))
-        with pytest.raises(ValueError, match="open-ended"):
-            StrataSpec(buckets=((1, 5), (6, 9)))
+        for cuts in [(0, 3), (-1,), (3, 3), (5, 2), (1, 4, 4)]:
+            with pytest.raises(ValueError, match="positive and strictly increasing"):
+                StrataSpec(cuts)
         with pytest.raises(ValueError, match="min_bucket_count"):
-            StrataSpec(buckets=((1, None),), min_bucket_count=0)
+            StrataSpec((), min_bucket_count=0)
 
     def test_bucket_lookup(self):
-        spec = StrataSpec(buckets=((1, 2), (3, None)), min_bucket_count=1)
-        assert spec.bucket_index(1) == 0
-        assert spec.bucket_index(2) == 0
-        assert spec.bucket_index(3) == 1
-        assert spec.bucket_index(500) == 1
+        spec = StrataSpec(cuts=(2,), min_bucket_count=1)
+        assert spec.n_buckets == 2
         # empty calibration sides join the first bucket
-        assert list(spec.bucket_index_array([0, 1, 3])) == [0, 0, 1]
-        with pytest.raises(ValueError, match="no bucket"):
-            spec.bucket_index(0)
+        assert spec.bucket_index_array([0, 1, 2, 3, 500]).tolist() == [0, 0, 0, 1, 1]
+        assert StrataSpec(()).bucket_index_array([0, 1, 10**9]).tolist() == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), max_size=6, unique=True),
+           st.lists(st.integers(0, 60), min_size=1, max_size=30))
+    def test_cuts_match_inclusive_ranges(self, cuts, sizes):
+        spec = StrataSpec(tuple(sorted(cuts)))
+        want = [range_bucket(spec.cuts, s) for s in sizes]
+        assert spec.bucket_index_array(sizes).tolist() == want
 
     def test_from_cal_sizes_covers_everything(self):
-        spec = StrataSpec.from_cal_sizes([1, 1, 2, 3, 5, 8, 13, 21], n_buckets=4)
-        assert spec.buckets[0][0] == 1
-        assert spec.buckets[-1][1] is None
-        for s in range(1, 30):
-            spec.bucket_index(s)
+        spec = StrataSpec.from_cal_sizes([1, 1, 2, 3, 5, 8, 13, 21])
+        assert spec.cuts == (1, 3, 8)
+        b = spec.bucket_index_array(range(30))
+        assert b.min() == 0 and b.max() == spec.n_buckets - 1
 
     def test_from_degenerate_sizes_collapses_cuts(self):
-        spec = StrataSpec.from_cal_sizes([3, 3, 3, 3], n_buckets=4)
-        assert spec.buckets == ((1, 3), (4, None))
+        assert StrataSpec.from_cal_sizes([3, 3, 3, 3]).cuts == (3,)
+        assert StrataSpec.from_cal_sizes([0, 0]) == StrataSpec(())
 
     def test_merged_range_prefers_bigger_neighbour(self):
-        spec = StrataSpec(buckets=((1, 1), (2, 2), (3, None)), min_bucket_count=2)
+        spec = StrataSpec(cuts=(1, 2), min_bucket_count=2)
         assert spec.merged_range([1, 2, 1], 0) == (0, 1)
         assert spec.merged_range([1, 1, 5], 1) == (1, 2)
         # tie prefers the lower bucket
@@ -379,7 +400,7 @@ class TestStratifiedPredict:
 
     def test_bucket_membership_filters_pool(self):
         views, ss = self._make(cal_sizes=[1, 2, 2, 5, 6], test_size=1)
-        spec = StrataSpec(buckets=((1, 2), (3, None)), min_bucket_count=1)
+        spec = StrataSpec(cuts=(2,), min_bucket_count=1)
         iv = stratified_cia_predict(views, ss, 0, alpha=0.5, strata=spec)
         # pool is the three small groups; Q = ceil(4*0.5)=2nd smallest of their scores
         scores = sorted(
@@ -394,7 +415,7 @@ class TestStratifiedPredict:
             views, ss = self._make(cal_sizes=[c for c in cal_sizes], test_size=2)
             plain = cia_predict(views, ss, 0, alpha=0.3)
             strat = stratified_cia_predict(
-                views, ss, 0, alpha=0.3, strata=StrataSpec.single()
+                views, ss, 0, alpha=0.3, strata=StrataSpec(())
             )
             assert (plain.lower, plain.upper) == (strat.lower, strat.upper)
 
@@ -402,7 +423,7 @@ class TestStratifiedPredict:
         # target test size 1 lands in an empty first bucket; the pool must
         # fall back to the merged neighbour instead of being empty
         views, ss = self._make(cal_sizes=[4, 4, 4], test_size=1)
-        spec = StrataSpec(buckets=((1, 2), (3, None)), min_bucket_count=1)
+        spec = StrataSpec(cuts=(2,), min_bucket_count=1)
         iv = stratified_cia_predict(views, ss, 0, alpha=0.5, strata=spec)
         scores = sorted(split_group_score(ss.subset(v.cal_members)) for v in views[1:])
         assert iv.upper - 1.0 == pytest.approx(scores[1], abs=1e-12)
@@ -412,14 +433,14 @@ class TestStratifiedPredict:
         samples = [sample(0, y=0.0, pred=1.0)]
         views = [GroupSplitView(0, (), (0,))]
         iv = stratified_cia_predict(
-            views, SampleSet(samples), 0, alpha=0.2, strata=StrataSpec.single()
+            views, SampleSet(samples), 0, alpha=0.2, strata=StrataSpec(())
         )
         assert iv.lower == -math.inf and iv.upper == math.inf
 
     def test_strat_needs_non_empty_test_side(self):
         views, ss = self._make(cal_sizes=[2, 2], test_size=1)
         with pytest.raises(ValueError, match="non-empty test side"):
-            stratified_cia_predict(views, ss, 1, alpha=0.5, strata=StrataSpec.single())
+            stratified_cia_predict(views, ss, 1, alpha=0.5, strata=StrataSpec(()))
 
 
 class TestOverlapDeltas:

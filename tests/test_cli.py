@@ -103,6 +103,16 @@ class TestOverlapStudy:
         assert len(lines) == 3  # two grid points, one method
         ET.parse(out / "overlap_gap.svg")
 
+    def test_repeated_min_len_rejected(self, grid_graph_csv, tmp_path, capsys):
+        rc = run_cli(
+            "overlap-study", "--graph", str(grid_graph_csv(k=4)), "--min-len-grid", "1,2,1",
+            "--paths", "10", "--reps", "2", "--out", str(tmp_path / "st"),
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "min_len_grid repeats 1"
+        assert not (tmp_path / "st").exists()
+
     def test_deterministic(self, grid_graph_csv, tmp_path):
         graph = grid_graph_csv(k=4)
         args = [
@@ -169,6 +179,9 @@ class TestParsing:
         (["simulate", "--seed", "-1"], "rng_seed must be >= 0, got -1"),
         (["group-avg", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["group-avg", "--group-by", "y"], "label column 'y' is also a grouping column"),
+        # a repeated level or method would write the same results row twice
+        (["simulate", "--alpha", "0.1,0.2,0.1"], "alphas repeats 0.1"),
+        (["simulate", "--methods", "cia_split,cia_split"], "methods repeats 'cia_split'"),
     ])
     def test_bad_sizes_fail_naming_the_field(self, argv, field, grid_graph_csv,
                                              tiny_tabular_csv, tmp_path, capsys):

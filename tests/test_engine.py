@@ -75,8 +75,8 @@ def _oracle_interval(kind, q, sums):
 
 def _oracle_strat_threshold(scores, cal_sizes, m, strata, alpha):
     buckets = strata.bucket_index_array(cal_sizes)
-    counts = np.bincount(buckets, minlength=len(strata.buckets))
-    lo, hi = strata.merged_range(counts, strata.bucket_index(m))
+    counts = np.bincount(buckets, minlength=strata.n_buckets)
+    lo, hi = strata.merged_range(counts, int(strata.bucket_index_array(m)))
     return score_threshold(scores[(buckets >= lo) & (buckets <= hi)], alpha).value, lo < hi
 
 
@@ -358,8 +358,9 @@ def test_drawn_cases_match_oracle_bitwise(spec, container):
 # ---------------------------------------------------------------------------
 
 # Eight groups of five; even indices calibrate. Target group 0 has test
-# members 1 and 3; index 6 sits on group 1's calibration side.
-_TARGET_TEST, _OTHER_CAL = 1, 6
+# members 1 and 3 and calibration member 0; index 6 sits on group 1's
+# calibration side.
+_TARGET_TEST, _TARGET_CAL, _OTHER_CAL = 1, 0, 6
 
 
 def _adapter_call(name, kind):
@@ -381,8 +382,8 @@ ADAPTERS = [(name, kind) for name in ("cia", "cia_strat", "group", "bonf")
 NON_FINITE_CASES = [
     (name, kind, side, container, bad)
     for name, kind in ADAPTERS
-    for side in ("test", "cal")
-    if not (name == "normal_hetero" and side == "cal")  # reads no calibration record
+    for side in ("test", "cal", "own_cal")
+    if not (name == "normal_hetero" and side != "test")  # reads no calibration record
     for container in ("sampleset", "dict")
     for bad in (math.nan, -math.inf)
 ]
@@ -397,7 +398,7 @@ def test_record_adapters_name_non_finite_field(name, kind, side, container, bad)
     if side == "test":
         at, fld = _TARGET_TEST, "quant_lo" if kind == "cqr" else "point_pred"
     else:
-        at, fld = _OTHER_CAL, "label"
+        at, fld = _OTHER_CAL if side == "cal" else _TARGET_CAL, "label"
     records[at] = dataclasses.replace(records[at], **{fld: bad})
     assignment = SplitAssignment(cal=frozenset(range(0, 40, 2)), test=frozenset(range(1, 40, 2)))
     views = split_groups([IndexGroup(g, frozenset(range(5 * g, 5 * g + 5))) for g in range(8)],
@@ -422,8 +423,7 @@ def test_stratified_thresholds_match_per_target_pools():
         scores = rng.integers(0, 6, size=G).astype(float)
         cal_sizes = rng.integers(0, 7, size=G)
         test_sizes = rng.integers(1, 7, size=G)
-        strata = StrataSpec(buckets=((1, 1), (2, 3), (4, None)),
-                            min_bucket_count=int(rng.integers(1, 8)))
+        strata = StrataSpec(cuts=(1, 3), min_bucket_count=int(rng.integers(1, 8)))
         alpha = float(rng.uniform(0.05, 0.6))
         got = stratified_thresholds(scores, cal_sizes, test_sizes, np.arange(G), strata, alpha)
         expected = [
@@ -432,6 +432,26 @@ def test_stratified_thresholds_match_per_target_pools():
             for t in range(G)
         ]
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("at", [-1, -2, 5, 6])
+@pytest.mark.parametrize("engine", ["loo", "strat"])
+def test_leave_out_position_outside_the_pool_is_named(engine, at):
+    scores, G = np.arange(5.0), 5
+    with pytest.raises(ValueError, match=rf"^leave-out position {at} is outside \[0, {G}\)$"):
+        if engine == "loo":
+            loo_thresholds(scores, 0.2, [0, at])
+        else:
+            stratified_thresholds(scores, [1, 2, 3, 4, 5], [1, 1], [0, at], StrataSpec((2,)), 0.2)
+
+
+def test_stratified_thresholds_check_alpha_where_no_target_is_in_its_pool():
+    # the target's own bucket (size 5) lies outside its merged range (size 1)
+    strata = StrataSpec((1,), min_bucket_count=1)
+    args = (np.arange(4.0), [1, 1, 1, 5], [1], [3], strata)
+    assert stratified_thresholds(*args, 0.5)[0] == 1.0  # 2nd smallest of {0, 1, 2}
+    with pytest.raises(ValueError, match="alpha must be in"):
+        stratified_thresholds(*args, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from ciarith.experiments import (
     derive_seed,
     generate_synthetic,
     load_tabular_csv,
+    overlap_gap_study,
     run_experiment,
 )
 from ciarith.graph import Edge, WeightedGraph, sample_path_groups
@@ -410,6 +411,17 @@ class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentConfig(alphas=(0.1,), methods=("cia_splitz",))
+
+    def test_repeated_alpha_or_method_rejected(self):
+        with pytest.raises(ValueError, match=r"^alphas repeats 0\.1$"):
+            ExperimentConfig(alphas=(0.1, 0.05, 0.1))
+        with pytest.raises(ValueError, match=r"^methods repeats 'cia_split'$"):
+            ExperimentConfig(alphas=(0.1,), methods=("cia_split", "bonf_split", "cia_split"))
+
+    def test_overlap_study_rejects_repeated_min_len(self):
+        cfg = ExperimentConfig(alphas=(0.1,), reps=1, methods=("cia_split",))
+        with pytest.raises(ValueError, match="^min_len_grid repeats 3$"):
+            overlap_gap_study(make_grid_graph(4), cfg, [3, 1, 3])
 
     def test_train_frac_bounds(self):
         with pytest.raises(ValueError, match="train_frac"):
