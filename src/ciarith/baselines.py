@@ -105,6 +105,12 @@ def group_sampling_threshold(
             f"group sampling needs at least {sizes[short[0]]} calibration samples, "
             f"have {n_cal}"
         )
+    empty = np.flatnonzero(sizes < 1)
+    if empty.size:
+        t = int(empty[0])
+        raise ValueError(
+            f"group sampling needs a test size of at least 1, target {t} has {sizes[t]}"
+        )
     if K is not None and K < 1:
         raise ValueError("K must be at least 1")
     q = np.empty(sizes.size)
@@ -170,6 +176,7 @@ def pooled_residual_sigma(y: np.ndarray, pred: np.ndarray) -> float:
 
 def normal_interval(center, spread, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """center + [z_{alpha/2}, z_{1-alpha/2}] * spread, per target."""
+    check_alpha(alpha)
     return interval_bounds(
         center + _NORMAL.inv_cdf(alpha / 2) * spread,
         center + _NORMAL.inv_cdf(1 - alpha / 2) * spread,

@@ -78,8 +78,14 @@ class GroupSplitView:
     test_members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cal_members", tuple(sorted(self.cal_members)))
-        object.__setattr__(self, "test_members", tuple(sorted(self.test_members)))
+        for side in ("cal", "test"):
+            members = tuple(sorted(getattr(self, f"{side}_members")))
+            object.__setattr__(self, f"{side}_members", members)
+            repeated = [a for a, b in zip(members, members[1:]) if a == b]
+            if repeated:
+                raise ValueError(
+                    f"group {self.group_id}: {side} side lists member {repeated[0]} more than once"
+                )
         if set(self.cal_members) & set(self.test_members):
             raise ValueError(f"group {self.group_id}: cal and test sides overlap")
 
@@ -287,19 +293,22 @@ def _record_pool(views, samples, target_group, score_kind):
     """The target's position among ``views``, every view's calibration
     size and score, and the target's test-side sums as the rows of a
     (fields x 1) array."""
-    at = [i for i, v in enumerate(views) if v.group_id == target_group]
-    if not at:
+    ids = [v.group_id for v in views]
+    if target_group not in ids:
         raise ValueError(f"target group {target_group} not found among views")
-    if len(at) > 1:
-        raise ValueError(f"target group {target_group} appears {len(at)} times among views")
+    if len(set(ids)) < len(ids):
+        gid = next(g for i, g in enumerate(ids) if g in ids[:i])
+        who = "target group" if gid == target_group else "group"
+        raise ValueError(f"{who} {gid} appears {ids.count(gid)} times among views")
+    t = ids.index(target_group)
     score, fields = scoring.score_kind(score_kind)
     cal = [v.cal_members for v in views]
     sizes = list(map(len, cal))
     members = np.fromiter(chain.from_iterable(cal), dtype=np.int64, count=sum(sizes))
     cols = columns_at(samples, members, *fields)
     scores = per_group(score, csr_offsets(sizes), np.arange(members.size), *cols)
-    test = columns_at(samples, views[at[0]].test_members, *fields[1:])
-    return at[0], sizes, scores, test.sum(axis=-1, keepdims=True)
+    test = columns_at(samples, views[t].test_members, *fields[1:])
+    return t, sizes, scores, test.sum(axis=-1, keepdims=True)
 
 
 def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:

@@ -93,7 +93,8 @@ _STREAM_GSAMP = 3
 # numpy's SeedSequence hash, whose output NEP 19 keeps stable across numpy
 # versions: a pool of 4 words mixed from the 32-bit entropy words, then read
 # out through a second hash. Computed here in uint32 array arithmetic, one
-# row of entropy words per seed, so many seeds come from one pass.
+# row of entropy words per seed, so the per-target seeds of the group_*
+# branch of _Session._bounds come from one pass.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -174,21 +175,14 @@ def _derived_seed_words(prefix: Sequence[int], n: int) -> np.ndarray:
 def derive_seed(*entropy: int) -> int:
     """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, as an int.
 
-    Every stream of an experiment is seeded this way. It is the one-row
-    case of the hash that derives in one batch the seeds of all reps of a
-    run, and of all targets of a group-sampling call
-    (:func:`_derived_seed_words`), so batched and single seeds, and the
-    streams they start, are numpy's own and unchanged. Entropy must be
-    non-negative.
+    Every stream of an experiment but the per-target group sampling is
+    seeded this way; that one derives the same seeds in one batch
+    (:func:`_derived_seed_words`). Entropy must be non-negative.
     """
-    words = np.array([[w for x in entropy for w in _int_words(x)]], dtype=np.uint32)
-    return int(_as_uint64(_seed_state(words, 2))[0, 0])
-
-
-def _as_uint64(words: np.ndarray) -> np.ndarray:
-    """Each (low, high) pair of 32-bit words along the rows as one uint64."""
-    words = words.astype(np.uint64)
-    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+    for x in entropy:
+        if x < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {x}")
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _pcg64_states(seed_words: np.ndarray) -> list[tuple[int, int]]:
@@ -199,8 +193,9 @@ def _pcg64_states(seed_words: np.ndarray) -> list[tuple[int, int]]:
     hashes the same. The seed sequence yields 4 uint64 words, seed (0, 1)
     and stream (2, 3) as 128-bit ints, and the LCG takes two steps from 0.
     """
+    words = _seed_state(seed_words, 8).astype(np.uint64)
     states = []
-    for s_hi, s_lo, i_hi, i_lo in _as_uint64(_seed_state(seed_words, 8)).tolist():
+    for s_hi, s_lo, i_hi, i_lo in (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
     return states
@@ -548,25 +543,15 @@ def _train_universe(n, config):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
+@dataclass(frozen=True)
 class _Session:
     """Shared read-only state plus the per-rep evaluation logic."""
 
-    def __init__(self, config: ExperimentConfig, prep: _Prep,
-                 graph: WeightedGraph | None = None,
-                 path_spec: PathSampling | None = None,
-                 collect_deltas: bool = False):
-        self.config = config
-        self.prep = prep
-        self.graph = graph
-        self.path_spec = path_spec
-        self.collect_deltas = collect_deltas
-        # derive_seed(seed, stream, rep) for every rep, one batch per stream
-        self.rep_seeds = {
-            stream: _as_uint64(
-                _derived_seed_words((config.seed, stream), config.reps)
-            )[:, 0].tolist()
-            for stream in (_STREAM_SPLIT, _STREAM_PATHS)
-        }
+    config: ExperimentConfig
+    prep: _Prep
+    graph: WeightedGraph | None = None
+    path_spec: PathSampling | None = None
+    collect_deltas: bool = False
 
     def _groups_for_rep(self, rep: int) -> tuple[np.ndarray, np.ndarray]:
         """This rep's groups as CSR (offsets, members), members sorted."""
@@ -576,7 +561,7 @@ class _Session:
         paths = sample_path_groups(
             self.graph,
             self.path_spec.n_paths,
-            self.rep_seeds[_STREAM_PATHS][rep],
+            derive_seed(self.config.seed, _STREAM_PATHS, rep),
             min_path_len=self.path_spec.min_path_len,
             cost_fn=prep.cost,
         )
@@ -623,8 +608,7 @@ class _Session:
         """Split the rep's CSR groups into calibration and test sides."""
         config, prep = self.config, self.prep
         assignment = symmetric_split(
-            prep.universe.tolist(), self.rep_seeds[_STREAM_SPLIT][rep],
-            config.split_mode,
+            prep.universe.tolist(), derive_seed(config.seed, _STREAM_SPLIT, rep), config.split_mode
         )
         is_cal = np.zeros(prep.y.size, dtype=bool)
         is_cal[np.fromiter(assignment.cal, dtype=np.int64, count=len(assignment.cal))] = True

@@ -12,6 +12,7 @@ from ciarith.baselines import (
     group_sampling_threshold,
     normal_hetero_iqr_predict,
     normal_homoscedastic_predict,
+    normal_interval,
 )
 from ciarith.core import LabeledSample, score_threshold
 from ciarith.experiments import _seeded_permutations, derive_seed
@@ -173,6 +174,15 @@ class TestGroupSamplingBatched:
             group_sampling_threshold(cols, [1, 4], 0.2, scoring.score_kind(kind)[0], None,
                                      lambda t: np.random.default_rng(t).permutation(12))
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([2, 0], "target 1 has 0"), ([-1, 3], "target 0 has -1"),
+    ], ids=["zero", "negative"])
+    def test_test_size_below_one_names_the_target(self, sizes, message):
+        cols = self._cols(np.random.default_rng(36), 10, "split")
+        with pytest.raises(ValueError, match=f"test size of at least 1, {message}$"):
+            group_sampling_threshold(cols, sizes, 0.2, scoring.split_score, None,
+                                     lambda t: np.random.default_rng(t).permutation(10))
+
     def test_k_below_one_raises(self):
         cols = self._cols(np.random.default_rng(35), 10, "split")
         with pytest.raises(ValueError, match="K must be at least 1"):
@@ -218,6 +228,11 @@ class TestNormalHomoscedastic:
             iv = normal_homoscedastic_predict(cal, test, 0.1)
             hits += iv.covers(float(rng.standard_t(3, size=m).sum()))
         assert hits / trials < 0.9
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.1, 1.0])
+    def test_interval_core_checks_alpha(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
+            normal_interval(np.array([10.0]), np.array([1.0]), alpha)
 
 
 class TestNormalHeteroIqr:

@@ -105,6 +105,14 @@ class TestSplitGroups:
         with pytest.raises(ValueError, match="outside"):
             split_groups(groups, a)
 
+    @pytest.mark.parametrize("cal, test, message", [
+        ((3, 3), (), "group 3: cal side lists member 3 more than once"),
+        ((1,), (4, 2, 4), "group 3: test side lists member 4 more than once"),
+    ], ids=["cal", "test"])
+    def test_view_side_repeating_a_member_rejected(self, cal, test, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GroupSplitView(3, cal_members=cal, test_members=test)
+
     def test_restrict_groups_drops_empty(self):
         groups = [IndexGroup(0, frozenset({1, 9})), IndexGroup(1, frozenset({9}))]
         kept = restrict_groups(groups, {1, 2})
@@ -183,6 +191,14 @@ class TestCiaPredict:
         views, samples = _pool_fixture()
         twice = [*views, GroupSplitView(0, (), ())]
         with pytest.raises(ValueError, match="target group 0 appears 2 times among views"):
+            predict(twice, samples, 0, alpha=0.5)
+
+    @pytest.mark.parametrize("predict", [cia_predict, stratified_cia_predict])
+    def test_repeated_non_target_id_rejected(self, predict):
+        views, samples = _pool_fixture()
+        # a second group 1 would put a score of 5 into the pool
+        twice = [*views, GroupSplitView(1, cal_members=(2, 3), test_members=())]
+        with pytest.raises(ValueError, match="^group 1 appears 2 times among views$"):
             predict(twice, samples, 0, alpha=0.5)
 
     def test_interval_symmetry_exact(self):

@@ -1,9 +1,12 @@
 """The package's seed hash against numpy's own SeedSequence and PCG64.
 
-The harness derives every group-sampling target's seed, and that seed's
-PCG64 state, with a batched copy of numpy's hash; numpy is the oracle
-here. Every batched call runs with RuntimeWarning as an error, so a
-numpy scalar overflow in the uint32 arithmetic fails the test.
+``derive_seed`` is numpy's own SeedSequence; its test is the public
+contract that every stream seed is numpy's. The batched copy of numpy's
+hash seeds only the group-sampling streams: the harness derives every
+group-sampling target's seed, and that seed's PCG64 state, with it, and
+numpy is its oracle here. Every batched call runs with RuntimeWarning as
+an error, so a numpy scalar overflow in the uint32 arithmetic fails the
+test.
 """
 
 import numpy as np
