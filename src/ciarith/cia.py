@@ -19,13 +19,19 @@ band has zero width). The record adapters (:func:`cia_predict`,
 :func:`stratified_cia_predict`) gather the fields of the calibration and
 test members with :func:`~ciarith.core.columns_at`, by position from a
 :class:`~ciarith.core.SampleSet`'s columns, run the engine for one
-target, and wrap the result in an :class:`IntervalPrediction`.
+target, and wrap the result in an :class:`IntervalPrediction`. A split's
+pool is scored once: a ``SampleSet`` keeps its last pool per score kind
+and reuses it while the views passed are the same objects in the same
+order (an ``is`` test per view), so each further target of that split
+pays only its own test-side sum and threshold. A plain mapping is
+rescored on every call.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +42,7 @@ from .core import (
     IndexGroup,
     IntervalPrediction,
     LabeledSample,
+    SampleSet,
     SplitAssignment,
     check_alpha,
     columns_at,
@@ -98,6 +105,14 @@ class GroupSplitView:
         return len(self.test_members)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float, even a whole one, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class StrataSpec:
     """Integer size buckets cut at sorted points: bucket j holds the sizes
@@ -114,11 +129,14 @@ class StrataSpec:
     min_bucket_count: int = 20
 
     def __post_init__(self):
-        if self.min_bucket_count < 1:
+        count = _integer("min_bucket_count", self.min_bucket_count)
+        if count < 1:
             raise ValueError("min_bucket_count must be >= 1")
-        cuts = list(self.cuts)
-        if cuts != sorted(set(cuts)) or min(cuts, default=1) < 1:
-            raise ValueError(f"cuts must be positive and strictly increasing, got {self.cuts}")
+        cuts = tuple(_integer("cuts", c) for c in self.cuts)
+        if list(cuts) != sorted(set(cuts)) or min(cuts, default=1) < 1:
+            raise ValueError(f"cuts must be positive and strictly increasing, got {cuts}")
+        object.__setattr__(self, "min_bucket_count", count)
+        object.__setattr__(self, "cuts", cuts)
 
     @classmethod
     def from_cal_sizes(cls, cal_sizes) -> "StrataSpec":
@@ -289,26 +307,46 @@ def stratified_thresholds(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _RecordPool:
+    """A split's scored calibration pool for one score kind, and the
+    default strata per own calibration size as targets ask for them."""
+
+    views: tuple[GroupSplitView, ...]
+    position: dict
+    sizes: np.ndarray
+    scores: np.ndarray
+    strata: dict = field(default_factory=dict)
+
+
 def _record_pool(views, samples, target_group, score_kind):
-    """The target's position among ``views``, every view's calibration
-    size and score, and the target's test-side sums as the rows of a
-    (fields x 1) array."""
-    ids = [v.group_id for v in views]
-    if target_group not in ids:
-        raise ValueError(f"target group {target_group} not found among views")
-    if len(set(ids)) < len(ids):
-        gid = next(g for i, g in enumerate(ids) if g in ids[:i])
-        who = "target group" if gid == target_group else "group"
-        raise ValueError(f"{who} {gid} appears {ids.count(gid)} times among views")
-    t = ids.index(target_group)
+    """The split's pool (kept by a ``SampleSet``, as the module docstring
+    says), the target's position in it, and the target's test-side sums
+    as the rows of a (fields x 1) array."""
     score, fields = scoring.score_kind(score_kind)
-    cal = [v.cal_members for v in views]
-    sizes = list(map(len, cal))
-    members = np.fromiter(chain.from_iterable(cal), dtype=np.int64, count=sum(sizes))
-    cols = columns_at(samples, members, *fields)
-    scores = per_group(score, csr_offsets(sizes), np.arange(members.size), *cols)
+    memo = samples._pools if isinstance(samples, SampleSet) else {}
+    pool = memo.get(score_kind)
+    kept = (pool is not None and len(views) == len(pool.views)
+            and all(map(operator.is_, views, pool.views)))
+    if not kept or target_group not in pool.position:  # rescoring raises not-found
+        ids = [v.group_id for v in views]
+        if target_group not in ids:
+            raise ValueError(f"target group {target_group} not found among views")
+        position = dict(zip(ids, range(len(ids))))
+        if len(position) < len(ids):
+            gid = next(g for i, g in enumerate(ids) if g in ids[:i])
+            who = "target group" if gid == target_group else "group"
+            raise ValueError(f"{who} {gid} appears {ids.count(gid)} times among views")
+        cal = [v.cal_members for v in views]
+        sizes = np.fromiter(map(len, cal), dtype=np.int64, count=len(cal))
+        members = np.fromiter(chain.from_iterable(cal), dtype=np.int64, count=int(sizes.sum()))
+        cols = columns_at(samples, members, *fields)
+        scores = per_group(score, csr_offsets(sizes), np.arange(members.size), *cols)
+        sizes.flags.writeable = scores.flags.writeable = False
+        pool = memo[score_kind] = _RecordPool(tuple(views), position, sizes, scores)
+    t = pool.position[target_group]
     test = columns_at(samples, views[t].test_members, *fields[1:])
-    return t, sizes, scores, test.sum(axis=-1, keepdims=True)
+    return pool, t, test.sum(axis=-1, keepdims=True)
 
 
 def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:
@@ -333,8 +371,8 @@ def cia_predict(
     ``split`` kind the interval is the predicted test sum plus/minus the
     threshold; with ``cqr`` the threshold pads the summed quantile band.
     """
-    t, _, scores, sums = _record_pool(views, samples, target_group, score_kind)
-    q = loo_thresholds(scores, alpha, [t])
+    pool, t, sums = _record_pool(views, samples, target_group, score_kind)
+    q = loo_thresholds(pool.scores, alpha, [t])
     return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
 
@@ -355,10 +393,13 @@ def stratified_cia_predict(
     unstratified engine). The default strata are cut from the other
     groups' calibration sizes.
     """
-    t, cal_sizes, scores, sums = _record_pool(views, samples, target_group, score_kind)
-    if strata is None:
-        strata = StrataSpec.from_cal_sizes(cal_sizes[:t] + cal_sizes[t + 1:])
-    q = stratified_thresholds(scores, cal_sizes, [views[t].test_size], [t], strata, alpha)
+    pool, t, sums = _record_pool(views, samples, target_group, score_kind)
+    if strata is None:  # the other sizes are the pool's minus one copy of the own size
+        own = int(pool.sizes[t])
+        if own not in pool.strata:
+            pool.strata[own] = StrataSpec.from_cal_sizes(np.delete(pool.sizes, t))
+        strata = pool.strata[own]
+    q = stratified_thresholds(pool.scores, pool.sizes, [views[t].test_size], [t], strata, alpha)
     return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
 

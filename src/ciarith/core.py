@@ -227,6 +227,10 @@ class SampleSet:
     from then on :meth:`column`, :func:`columns_at` and
     :func:`extract_column` of a :meth:`subset` read those columns by
     position, not the records. Construction does not build them.
+
+    The record adapters of :mod:`ciarith.cia` keep their last scored pool
+    per score kind in ``_pools``, reused only for the same view objects in
+    the same order: views are frozen and the set immutable.
     """
 
     def __init__(self, samples: Iterable[LabeledSample]):
@@ -237,6 +241,7 @@ class SampleSet:
             by_index[s.index] = s
         self._by_index = by_index
         self._columns: _SampleColumns | None = None
+        self._pools: dict = {}
 
     def __getitem__(self, index: int) -> LabeledSample:
         return self._by_index[index]

@@ -1,12 +1,14 @@
 import logging
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciarith import kernels
+from ciarith import cia, kernels
 from ciarith.cia import (
     GroupSplitView,
     StrataSpec,
@@ -359,6 +361,23 @@ class TestStrataSpec:
         with pytest.raises(ValueError, match="min_bucket_count"):
             StrataSpec((), min_bucket_count=0)
 
+    def test_cuts_are_stored_as_an_int_tuple(self):
+        want = StrataSpec(cuts=(2, 3))
+        for cuts in ([2, 3], np.array([2, 3]), (np.int64(2), np.int32(3))):
+            spec = StrataSpec(cuts=cuts)
+            assert spec == want and hash(spec) == hash(want)
+            assert type(spec.cuts) is tuple and all(type(c) is int for c in spec.cuts)
+        assert StrataSpec((1,), min_bucket_count=np.int64(3)).min_bucket_count == 3
+
+    @pytest.mark.parametrize("cuts, count, bad", [
+        ((2.5,), 20, "cuts: 2.5 is"), ((1, 2.0), 20, "cuts: 2.0 is"),
+        (np.array([1.0, 2.0]), 20, "cuts: np.float64(1.0) is"), (("2",), 20, "cuts: '2' is"),
+        ((), 2.0, "min_bucket_count: 2.0 is"), ((), 0.5, "min_bucket_count: 0.5 is"),
+    ])
+    def test_non_integer_cut_or_count_rejected(self, cuts, count, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)} not an integer$"):
+            StrataSpec(cuts, min_bucket_count=count)
+
     def test_bucket_lookup(self):
         spec = StrataSpec(cuts=(2,), min_bucket_count=1)
         assert spec.n_buckets == 2
@@ -457,6 +476,158 @@ class TestStratifiedPredict:
         views, ss = self._make(cal_sizes=[2, 2], test_size=1)
         with pytest.raises(ValueError, match="non-empty test side"):
             stratified_cia_predict(views, ss, 1, alpha=0.5, strata=StrataSpec(()))
+
+
+def _record_split(seed=5, n=400, n_groups=50):
+    """A record-api-shaped split: records with point predictions and
+    nominal 90% bands, groups of uneven sizes split symmetrically, and two
+    more views, one with an empty calibration side and one with an empty
+    test side."""
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal(n)
+    sigma = rng.uniform(0.5, 1.5, n)
+    y = mean + sigma * rng.standard_normal(n)
+    pred = mean + 0.1 * rng.standard_normal(n)
+    records = [
+        LabeledSample(index=i, label=float(y[i]), point_pred=float(pred[i]),
+                      quant_lo=float(pred[i] - 1.645 * sigma[i]),
+                      quant_hi=float(pred[i] + 1.645 * sigma[i]))
+        for i in range(n)
+    ]
+    cuts = np.sort(rng.choice(np.arange(1, n), n_groups - 1, replace=False))
+    groups = [IndexGroup(g, frozenset(c.tolist()))
+              for g, c in enumerate(np.split(rng.permutation(n), cuts))]
+    views = split_groups(groups, symmetric_split(range(n), seed))
+    views += [GroupSplitView(n_groups, (), views[0].test_members),
+              GroupSplitView(n_groups + 1, views[1].cal_members, ())]
+    return views, records
+
+
+def _outcome(predict, *args, **kwargs):
+    """A call's bounds in hex, so equal means bit for bit, or its error text."""
+    try:
+        iv = predict(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return iv.lower.hex(), iv.upper.hex()
+
+
+def _every_target(views, samples, kind="split"):
+    """Both adapters' outcomes for every target; ``samples`` is called
+    once per adapter call for the samples it gets."""
+    return [
+        _outcome(predict, views, samples(), v.group_id, 0.2, kind)
+        for v in views
+        for predict in (cia_predict, stratified_cia_predict)
+    ]
+
+
+class TestRecordPoolMemo:
+    """A SampleSet keeps the last scored pool per kind for the same view
+    objects in the same order; nothing else may change an interval."""
+
+    ADAPTERS = [
+        (cia_predict, {}),
+        (stratified_cia_predict, {}),
+        (stratified_cia_predict, {"strata": StrataSpec((3, 6), min_bucket_count=2)}),
+    ]
+
+    def test_shared_set_matches_dict_and_fresh_sets_bit_for_bit(self):
+        views, records = _record_split()
+        assert any(v.cal_size == 0 for v in views) and any(v.test_size == 0 for v in views)
+        shared = SampleSet(records)
+        by_index = {r.index: r for r in records}
+        bounded = 0
+        for v in views:
+            for kind in ("split", "cqr"):
+                for predict, kwargs in self.ADAPTERS:
+                    args = (v.group_id, 0.2, kind)
+                    got = _outcome(predict, views, shared, *args, **kwargs)
+                    assert got == _outcome(predict, views, by_index, *args, **kwargs)
+                    assert got == _outcome(predict, views, SampleSet(records), *args, **kwargs)
+                    bounded += isinstance(got, tuple)
+        # only the stratified calls on an empty test side fail
+        assert bounded == 6 * len(views) - 4 * sum(v.test_size == 0 for v in views)
+
+    def test_other_views_or_samples_are_rescored(self):
+        views, records = _record_split()
+        shared = SampleSet(records)
+
+        def fresh(vs, recs=records, kind="split"):
+            return _every_target(vs, lambda: SampleSet(recs), kind)
+
+        before = _every_target(views, lambda: shared)
+        assert before == fresh(views)
+        # the same list object with a view appended
+        views.append(GroupSplitView(99, views[7].cal_members + views[8].cal_members, ()))
+        assert fresh(views) != before
+        assert _every_target(views, lambda: shared) == fresh(views)
+        # a copied list with one view replaced: same id, other calibration members
+        replaced = list(views)
+        replaced[2] = GroupSplitView(views[2].group_id, views[8].cal_members,
+                                     views[2].test_members)
+        assert fresh(replaced) != fresh(views)
+        assert _every_target(replaced, lambda: shared) == fresh(replaced)
+        # another set with equal indices and other labels
+        shifted = [replace(r, label=r.label + 0.5 * r.index) for r in records]
+        other = SampleSet(shifted)
+        assert _every_target(views, lambda: shared) != fresh(views, shifted)
+        assert _every_target(views, lambda: other) == fresh(views, shifted)
+        # alternating score kinds
+        for kind in ("split", "cqr", "split", "cqr"):
+            assert _every_target(views, lambda: shared, kind) == fresh(views, kind=kind)
+        for ss in (shared, other):
+            assert set(ss._pools) <= {"split", "cqr"}
+            assert all(not p.scores.flags.writeable for p in ss._pools.values())
+
+    def _failures(self):
+        views, records = _record_split()
+        v = views[1]
+        nan_records = [replace(r, label=math.nan) if r.index == v.cal_members[0] else r
+                       for r in records]
+        return views, records, [
+            (views, records, 777, "split", "target group 777 not found among views"),
+            ([*views, GroupSplitView(v.group_id, (), ())], records, 0, "split",
+             f"group {v.group_id} appears 2 times among views"),
+            (views, nan_records, 0, "split", f"sample {v.cal_members[0]} has non-finite label nan"),
+            (views, records, 0, "bogus", "unknown score kind 'bogus'"),
+            (views, records, 0, ["x"], "unknown score kind ['x']"),
+        ]
+
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("predict", [cia_predict, stratified_cia_predict])
+    def test_failed_call_stores_nothing_and_fails_again_alike(self, predict, case):
+        good_views, good_records, cases = self._failures()
+        views, records, target, kind, message = cases[case]
+        ss = SampleSet(records)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)) as exc:
+                predict(views, ss, target, 0.2, kind)
+            texts.append(str(exc.value))
+            assert ss._pools == {}
+        assert texts[0] == texts[1]
+        if records is good_records:  # a failed call leaves an earlier pool in place
+            predict(good_views, ss, 0, 0.2, "split")
+            kept = ss._pools["split"]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                predict(views, ss, target, 0.2, kind)
+            assert list(ss._pools) == ["split"] and ss._pools["split"] is kept
+
+    @pytest.mark.parametrize("kind", ["split", "cqr"])
+    def test_pool_scored_once_per_split_for_a_sample_set(self, monkeypatch, kind):
+        calls = []
+        scored = cia.per_group
+        monkeypatch.setattr(cia, "per_group", lambda *a: calls.append(a) or scored(*a))
+        views, records = _record_split()
+        targets = [v.group_id for v in views if v.test_size > 0]
+        for samples, want in ((SampleSet(records), 1),
+                              ({r.index: r for r in records}, 2 * len(targets))):
+            calls.clear()
+            for g in targets:
+                cia_predict(views, samples, g, 0.2, kind)
+                stratified_cia_predict(views, samples, g, 0.2, kind)
+            assert len(calls) == want
 
 
 class TestOverlapDeltas:
