@@ -18,11 +18,10 @@ score kind, gather their records' fields with
 for one target and wrap the result in an :class:`IntervalPrediction`.
 
 Group sampling draws each target's calibration groups from that target's
-own random stream. The harness hands the core every target of a split at
-once, with the streams seeded in one batch: each is still
-``np.random.default_rng(seed)``'s permutation for the target's derived
-seed, so the draws, and every threshold, are those of a fresh generator
-per target.
+own generator. The harness hands the core every target of a split at
+once, with one generator per target seeded in one batch: each is
+``np.random.default_rng`` of the target's derived seed, so the draws, and
+every threshold, are those of a fresh generator per target.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scoring
-from .cia import _prediction, interval_from_threshold
+from .cia import _integer, _prediction, interval_from_threshold
 from .core import (
     IntervalPrediction,
     LabeledSample,
@@ -79,7 +78,7 @@ def group_sampling_threshold(
     alpha: float,
     score: Callable[..., np.ndarray],
     K: int | None,
-    permutation: Callable[[int], np.ndarray],
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Each target's score threshold from K disjoint groups drawn from calibration.
 
@@ -87,9 +86,10 @@ def group_sampling_threshold(
     rows: (y, point_pred) for the split score, (y, quant_lo, quant_hi)
     for the quantile-band score.
     Target t has test size ``sizes[t]`` = m and draws its K size-m groups
-    as the first K·m entries of ``permutation(t)``, a permutation of
-    range(n_cal). K defaults to floor(n_cal / m); a larger request is
-    reduced with a diagnostic since groups are drawn without replacement.
+    as the first K·m entries of ``rngs[t].permutation(n_cal)``: ``rngs``
+    holds one generator per target. K defaults to floor(n_cal / m); a
+    larger request is reduced with a diagnostic since groups are drawn
+    without replacement.
 
     Targets are taken one test-size class at a time: the class's draws
     fill one (targets x K x m) index array, the columns are gathered once,
@@ -98,6 +98,9 @@ def group_sampling_threshold(
     """
     check_alpha(alpha)
     sizes = np.asarray(sizes, dtype=np.int64)
+    if len(rngs) != sizes.size:
+        raise ValueError(f"group sampling needs one generator per target: "
+                         f"{len(rngs)} generators for {sizes.size} targets")
     n_cal = cols[0].size
     short = np.flatnonzero(sizes > n_cal)
     if short.size:
@@ -111,7 +114,7 @@ def group_sampling_threshold(
         raise ValueError(
             f"group sampling needs a test size of at least 1, target {t} has {sizes[t]}"
         )
-    if K is not None and K < 1:
+    if K is not None and _integer("K", K) < 1:
         raise ValueError("K must be at least 1")
     q = np.empty(sizes.size)
     for m in np.unique(sizes).tolist():
@@ -123,7 +126,7 @@ def group_sampling_threshold(
             k_groups = min(K, k_groups)
         rows = np.empty((targets.size, k_groups * m), dtype=np.int64)
         for r, t in enumerate(targets.tolist()):
-            rows[r] = permutation(t)[: k_groups * m]
+            rows[r] = rngs[t].permutation(n_cal)[: k_groups * m]
         scores = score(*(c[rows.reshape(targets.size, k_groups, m)] for c in cols))
         q[targets] = kth_smallest(scores, alpha)
     return q
@@ -153,10 +156,7 @@ def group_sampling_predict(
         return _prediction(group_id, alpha, [0.0], [0.0])
     cols = extract_column(cal_samples, *fields)
     sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
-    rng = np.random.default_rng(rng_seed)
-    q = group_sampling_threshold(
-        cols, [m], alpha, score, K, lambda t: rng.permutation(len(cal_samples))
-    )
+    q = group_sampling_threshold(cols, [m], alpha, score, K, [np.random.default_rng(rng_seed)])
     return _prediction(group_id, alpha, *interval_from_threshold(q, sums))
 
 

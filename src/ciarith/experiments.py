@@ -28,6 +28,7 @@ import numpy as np
 from . import baselines, scoring
 from .cia import (
     StrataSpec,
+    _integer,
     _overlap_deltas,
     interval_from_threshold,
     restrict_groups,
@@ -101,9 +102,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# PCG64 seeding: the 128-bit LCG multiplier and modulus mask
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +174,9 @@ def derive_seed(*entropy: int) -> int:
     """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, as an int.
 
     Every stream of an experiment but the per-target group sampling is
-    seeded this way; that one derives the same seeds in one batch
-    (:func:`_derived_seed_words`). Entropy must be non-negative.
+    seeded this way; that one derives the same seeds, and seeds its
+    generators from them, in one batch (:func:`_seeded_generators`).
+    Entropy must be non-negative.
     """
     for x in entropy:
         if x < 0:
@@ -185,38 +184,28 @@ def derive_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _pcg64_states(seed_words: np.ndarray) -> list[tuple[int, int]]:
-    """``PCG64(seed).state["state"]`` as (state, inc) for each seed, given
-    as its (low, high) words.
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that holds one seed's first ``SeedSequence`` output
+    words, as little-endian uint64 words that each pair two uint32 words."""
 
-    A seed below 2**32 is the one entropy word [low]; its zero high word
-    hashes the same. The seed sequence yields 4 uint64 words, seed (0, 1)
-    and stream (2, 3) as 128-bit ints, and the LCG takes two steps from 0.
-    """
-    words = _seed_state(seed_words, 8).astype(np.uint64)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        """``np.random.SeedSequence(seed).generate_state(n_words, dtype)``, for
+        a dtype of uint32 or uint64."""
+        words = self._words if np.dtype(dtype) == np.uint64 else self._words.view("<u4")
+        if n_words > words.size:
+            raise ValueError(f"{n_words} words requested, {words.size} held")
+        return words[:n_words].astype(dtype)
 
 
-def _seeded_permutations(seed_words: np.ndarray, n: int):
-    """``draw(t)``: ``np.random.default_rng(seed t).permutation(n)``, where
-    seed t has the (low, high) words of row t, from one reused generator."""
-    bit_generator = np.random.PCG64(0)  # its state is replaced on every draw
-    rng = np.random.Generator(bit_generator)
-    states = _pcg64_states(seed_words)
-
-    def draw(t: int) -> np.ndarray:
-        state, inc = states[t]
-        bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return rng.permutation(n)
-
-    return draw
+def _seeded_generators(prefix: Sequence[int], n: int) -> list[np.random.Generator]:
+    """``np.random.default_rng(derive_seed(*prefix, t))`` for each t < n: every
+    seed and the words PCG64 seeds from come from one pass of the hash. A
+    seed's zero high word hashes as numpy's one-word entropy [low] does."""
+    words = np.ascontiguousarray(_seed_state(_derived_seed_words(prefix, n), 8), dtype="<u4")
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(w))) for w in words.view("<u8")]
 
 
 def _check_distinct(name: str, values: Sequence) -> None:
@@ -239,6 +228,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "reps", _integer("reps", self.reps))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if self.knn_k is not None:
+            object.__setattr__(self, "knn_k", _integer("knn_k", self.knn_k))
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("alphas must be a non-empty list within (0, 1)")
         if self.reps < 1:
@@ -280,6 +273,8 @@ class PathSampling:
     min_path_len: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n_paths", _integer("n_paths", self.n_paths))
+        object.__setattr__(self, "min_path_len", _integer("min_path_len", self.min_path_len))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.min_path_len < 1:
@@ -657,13 +652,10 @@ class _Session:
             return baselines.bonferroni_interval(q, split.test, cols[1:])
         if method.startswith("group_"):
             # target t draws from default_rng(derive_seed(seed, stream, rep, method, t))
-            seeds = _derived_seed_words(
+            rngs = _seeded_generators(
                 (self.config.seed, _STREAM_GSAMP, rep, METHOD_IDS.index(method)), sizes.size
             )
-            q = baselines.group_sampling_threshold(
-                cal_cols, sizes, alpha, score, None,
-                _seeded_permutations(seeds, split.cal_rows.size),
-            )
+            q = baselines.group_sampling_threshold(cal_cols, sizes, alpha, score, None, rngs)
         elif method.endswith("_strat"):
             q = stratified_thresholds(
                 scores, np.diff(split.cal[0]), sizes, split.targets, split.strata, alpha

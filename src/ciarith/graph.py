@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
+from .cia import _integer
 from .core import IndexGroup, _parse_field, _read_csv
 
 __all__ = [
@@ -291,7 +292,10 @@ def sample_path_groups(
     tree takes 4 bytes per node, and the cache keeps at most about 64 MB
     of them per graph, dropping the oldest first.
     """
-    if min_path_len < 1:
+    K = _integer("K", K)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if _integer("min_path_len", min_path_len) < 1:
         raise ValueError("min_path_len must be >= 1")
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample paths")

@@ -15,7 +15,7 @@ from ciarith.baselines import (
     normal_interval,
 )
 from ciarith.core import LabeledSample, score_threshold
-from ciarith.experiments import _seeded_permutations, derive_seed
+from ciarith.experiments import derive_seed
 
 # alpha chosen so z_{1-alpha/2} = 1 exactly (two-sided standard-normal level)
 ALPHA_Z1 = 0.31731050786291415
@@ -87,6 +87,11 @@ class TestGroupSampling:
         assert (iv.lower, iv.upper) == (1.0, 1.0)
 
 
+def _rngs(n):
+    """One fresh generator per target, target t seeded with t."""
+    return [np.random.default_rng(t) for t in range(n)]
+
+
 def per_target_thresholds(cols, sizes, alpha, kind, K, seeds):
     """The one-target-at-a-time loop the batched core replaced: a fresh
     generator, permutation and ``score_threshold`` per target."""
@@ -115,17 +120,12 @@ class TestGroupSamplingBatched:
         return [y, lo, lo + rng.uniform(0.0, 3.0, n_cal)]
 
     def _both(self, cols, sizes, alpha, kind, K, seeds):
-        """(batched through the reused generator, batched through fresh
-        generators, per-target loop); a ValueError of any side propagates."""
-        words = np.array([[s & 0xFFFFFFFF, s >> 32] for s in seeds], dtype=np.uint32)
-        n_cal = cols[0].size
+        """(batched with one fresh generator per target, per-target loop);
+        a ValueError of either side propagates."""
         score, _ = scoring.score_kind(kind)
+        rngs = [np.random.default_rng(s) for s in seeds]
         return (
-            group_sampling_threshold(cols, sizes, alpha, score, K,
-                                     _seeded_permutations(words, n_cal)),
-            group_sampling_threshold(
-                cols, sizes, alpha, score, K,
-                lambda t: np.random.default_rng(seeds[t]).permutation(n_cal)),
+            group_sampling_threshold(cols, sizes, alpha, score, K, rngs),
             per_target_thresholds(cols, sizes, alpha, kind, K, seeds),
         )
 
@@ -140,9 +140,8 @@ class TestGroupSamplingBatched:
             alpha = float(rng.choice([0.05, 0.1, 0.3, 0.7]))
             seeds = [derive_seed(trial, 3, 1, t) for t in range(sizes.size)]
             seeds[0] = 2**64 - 1  # a two-word seed with every bit set
-            got, fresh, want = self._both(self._cols(rng, n_cal, kind), sizes, alpha, kind, K,
-                                          seeds)
-            assert got.tobytes() == want.tobytes() == fresh.tobytes(), (trial, K)
+            got, want = self._both(self._cols(rng, n_cal, kind), sizes, alpha, kind, K, seeds)
+            assert got.tobytes() == want.tobytes(), (trial, K)
             groups_per_target.extend((n_cal // sizes).tolist())
         # K = 3 is above floor(n_cal / m) for some targets and below it for others
         assert min(groups_per_target) < 3 < max(groups_per_target)
@@ -150,7 +149,7 @@ class TestGroupSamplingBatched:
     def test_infinite_thresholds_where_k_exceeds_the_draws(self):
         rng = np.random.default_rng(32)
         cols = self._cols(rng, 30, "split")
-        got, _, want = self._both(cols, [10, 2, 10], 0.1, "split", None, [4, 5, 6])
+        got, want = self._both(cols, [10, 2, 10], 0.1, "split", None, [4, 5, 6])
         # three groups of 10 cannot reach rank ceil(4 * 0.9) = 4; fifteen of 2 can
         assert got.tobytes() == want.tobytes()
         assert np.isinf(got).tolist() == [True, False, True]
@@ -161,8 +160,7 @@ class TestGroupSamplingBatched:
         with pytest.raises(ValueError):
             per_target_thresholds(cols, [3, 9], 0.2, "split", None, [1, 2])
         with pytest.raises(ValueError, match="at least 9 calibration samples, have 8"):
-            group_sampling_threshold(cols, [3, 9], 0.2, scoring.split_score, None,
-                                     lambda t: np.random.default_rng(t).permutation(8))
+            group_sampling_threshold(cols, [3, 9], 0.2, scoring.split_score, None, _rngs(2))
 
     @pytest.mark.parametrize("kind", ["split", "cqr"])
     def test_non_finite_score_raises(self, kind):
@@ -172,7 +170,7 @@ class TestGroupSamplingBatched:
             per_target_thresholds(cols, [1, 4], 0.2, kind, None, [7, 8])
         with pytest.raises(ValueError, match="finite"):
             group_sampling_threshold(cols, [1, 4], 0.2, scoring.score_kind(kind)[0], None,
-                                     lambda t: np.random.default_rng(t).permutation(12))
+                                     _rngs(2))
 
     @pytest.mark.parametrize("sizes, message", [
         ([2, 0], "target 1 has 0"), ([-1, 3], "target 0 has -1"),
@@ -180,14 +178,32 @@ class TestGroupSamplingBatched:
     def test_test_size_below_one_names_the_target(self, sizes, message):
         cols = self._cols(np.random.default_rng(36), 10, "split")
         with pytest.raises(ValueError, match=f"test size of at least 1, {message}$"):
-            group_sampling_threshold(cols, sizes, 0.2, scoring.split_score, None,
-                                     lambda t: np.random.default_rng(t).permutation(10))
+            group_sampling_threshold(cols, sizes, 0.2, scoring.split_score, None, _rngs(2))
 
     def test_k_below_one_raises(self):
         cols = self._cols(np.random.default_rng(35), 10, "split")
         with pytest.raises(ValueError, match="K must be at least 1"):
-            group_sampling_threshold(cols, [2], 0.2, scoring.split_score, 0,
-                                     lambda t: np.random.default_rng(t).permutation(10))
+            group_sampling_threshold(cols, [2], 0.2, scoring.split_score, 0, _rngs(1))
+
+    @pytest.mark.parametrize("K", [2.5, 2.0, "2"])
+    def test_non_integer_k_is_named(self, K):
+        cols = self._cols(np.random.default_rng(37), 10, "split")
+        cal = [mk(i, y=float(y), pred=float(p)) for i, (y, p) in enumerate(zip(*cols))]
+        with pytest.raises(ValueError, match=rf"^K: {K!r} is not an integer$"):
+            group_sampling_threshold(cols, [2], 0.2, scoring.split_score, K, _rngs(1))
+        with pytest.raises(ValueError, match=rf"^K: {K!r} is not an integer$"):
+            group_sampling_predict(cal, [mk(99), mk(100)], 0.2, K=K)
+
+    @pytest.mark.parametrize("n_rngs", [0, 1, 3])
+    def test_one_generator_per_target_checked_before_any_draw(self, n_rngs):
+        cols = self._cols(np.random.default_rng(38), 10, "split")
+        rngs = _rngs(n_rngs)
+        with pytest.raises(ValueError, match=(
+                rf"^group sampling needs one generator per target: "
+                rf"{n_rngs} generators for 2 targets$")):
+            group_sampling_threshold(cols, [2, 3], 0.2, scoring.split_score, None, rngs)
+        for t, rng in enumerate(rngs):
+            assert rng.bit_generator.state == np.random.default_rng(t).bit_generator.state
 
 
 class TestNormalHomoscedastic:

@@ -80,8 +80,9 @@ def _oracle_strat_threshold(scores, cal_sizes, m, strata, alpha):
     return score_threshold(scores[(buckets >= lo) & (buckets <= hi)], alpha).value, lo < hi
 
 
-def oracle(prep, members, is_cal, method, alpha, log):
-    """Per-target bounds of ``method``; raises ValueError as the method would."""
+def oracle(prep, members, is_cal, method, alpha, log, seed=SEED):
+    """Per-target bounds of ``method`` in rep ``REP`` of an experiment
+    seeded ``seed``; raises ValueError as the method would."""
     y, y_hat, sigma = prep.y, prep.y_hat, prep.sigma_iqr
     qlo, qhi = prep.quant[alpha]
     cal = [m[is_cal[m]] for m in members]
@@ -115,7 +116,7 @@ def oracle(prep, members, is_cal, method, alpha, log):
             log["collapsed"] |= kind == "cqr" and bounds[0] == bounds[1]
         elif method.startswith("group_"):
             rng = np.random.default_rng(
-                derive_seed(SEED, _STREAM_GSAMP, REP, METHOD_IDS.index(method), pos)
+                derive_seed(seed, _STREAM_GSAMP, REP, METHOD_IDS.index(method), pos)
             )
             n_cal = cal_rows.size
             if n_cal < m:
@@ -213,8 +214,8 @@ CASES = {
 }
 
 
-def _engine(prep, alphas):
-    config = ExperimentConfig(alphas=alphas, reps=REP + 1, seed=SEED, methods=METHOD_IDS)
+def _engine(prep, alphas, seed=SEED):
+    config = ExperimentConfig(alphas=alphas, reps=REP + 1, seed=seed, methods=METHOD_IDS)
     session = _Session(config, prep)
     return session, session._split(REP, *session._groups_for_rep(REP))
 
@@ -226,24 +227,24 @@ def _bounds_or_error(fn, *args):
         return None
 
 
-def _assignment(prep):
+def _assignment(prep, seed=SEED):
     """The rep's split, drawn as the harness draws it, and its is-calibration mask."""
-    assignment = symmetric_split(prep.universe.tolist(), derive_seed(SEED, _STREAM_SPLIT, REP))
+    assignment = symmetric_split(prep.universe.tolist(), derive_seed(seed, _STREAM_SPLIT, REP))
     is_cal = np.zeros(prep.y.size, dtype=bool)
     is_cal[sorted(assignment.cal)] = True
     return assignment, is_cal
 
 
-def check_engine(spec):
+def check_engine(spec, seed=SEED):
     """Assert the engine's bounds equal the oracle's for every method and
     level of ``spec``; returns the corners its split reached."""
     prep, members, _ = make_prep(**spec)
-    session, split = _engine(prep, spec["alphas"])
-    _, is_cal = _assignment(prep)
+    session, split = _engine(prep, spec["alphas"], seed)
+    _, is_cal = _assignment(prep, seed)
     log = dict(merged=False, infinite=False, collapsed=False, failed=False)
     for alpha in spec["alphas"]:
         for method in METHOD_IDS:
-            expected = _bounds_or_error(oracle, prep, members, is_cal, method, alpha, log)
+            expected = _bounds_or_error(oracle, prep, members, is_cal, method, alpha, log, seed)
             got = _bounds_or_error(session._bounds, method, alpha, REP, split)
             assert (got is None) == (expected is None), (method, alpha)
             if expected is None:
@@ -261,6 +262,16 @@ def test_engine_matches_oracle_bitwise(case):
     reached = check_engine(spec)
     assert corners <= reached
     assert ("failed" in reached) == ("failed" in corners)
+
+
+# A seed of 2 or 3 entropy words gives each group_* target the 6- or
+# 7-word entropy (seed, stream, rep, method, t): more words than the seed
+# hash's pool of 4, hashed on the batched path's branch beyond the pool.
+@pytest.mark.parametrize("seed", [2**32 + 5, 2**64 + 5])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_oracle_bitwise_at_multi_word_seeds(case, seed):
+    reached = check_engine(CASES[case][0], seed)
+    assert ("failed" in reached) == ("failed" in CASES[case][1])
 
 
 # (case, container): a SampleSet with its subsets is gathered by position,

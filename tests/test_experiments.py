@@ -451,6 +451,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             PathSampling(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("reps", 2.5), ("reps", 2.0), ("seed", 1.5), ("knn_k", 2.0), ("knn_k", "3"),
+    ])
+    def test_config_rejects_non_integer_sizes_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field}: {value!r} is not an integer$"):
+            ExperimentConfig(alphas=(0.1,), **{field: value})
+
+    @pytest.mark.parametrize("field, kw", [
+        ("n_paths", dict(n_paths=2.5)),
+        ("min_path_len", dict(n_paths=5, min_path_len=2.0)),
+    ])
+    def test_path_sampling_rejects_non_integer_sizes_by_name(self, field, kw):
+        with pytest.raises(ValueError, match=rf"^{field}: {kw[field]!r} is not an integer$"):
+            PathSampling(**kw)
+
+    def test_integer_like_sizes_become_ints(self):
+        cfg = ExperimentConfig(alphas=(0.1,), reps=np.int64(3), seed=np.uint64(2**63),
+                               knn_k=np.int32(4))
+        assert (cfg.reps, cfg.seed, cfg.knn_k) == (3, 2**63, 4)
+        assert all(type(v) is int for v in (cfg.reps, cfg.seed, cfg.knn_k))
+        spec = PathSampling(n_paths=np.int64(7), min_path_len=np.int16(2))
+        assert (spec.n_paths, spec.min_path_len) == (7, 2)
+        assert type(spec.n_paths) is int and type(spec.min_path_len) is int
+
 
 class TestHarnessMatchesPublicApi:
     """One rep of the harness must replay exactly through the public calls."""

@@ -184,6 +184,18 @@ class TestSamplePathGroups:
         with pytest.raises(ValueError, match="collected only 0 of 5"):
             sample_path_groups(g, K=5, rng_seed=4, min_path_len=10, retry_factor=3)
 
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_k_below_one_rejected_by_name(self, K):
+        with pytest.raises(ValueError, match=rf"^K must be >= 1, got {K}$"):
+            sample_path_groups(self._grid(), K=K, rng_seed=1)
+
+    @pytest.mark.parametrize("field, kw", [
+        ("K", dict(K=2.5)), ("min_path_len", dict(K=2, min_path_len=1.0)),
+    ])
+    def test_non_integer_size_rejected_by_name(self, field, kw):
+        with pytest.raises(ValueError, match=rf"^{field}: {kw[field]!r} is not an integer$"):
+            sample_path_groups(self._grid(), rng_seed=1, **kw)
+
     def test_more_overlap_with_longer_paths(self):
         g = self._grid(k=6)
         from ciarith.cia import overlap_delta_avg

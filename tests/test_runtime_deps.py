@@ -1,6 +1,7 @@
 """Runtime code must not import scipy: it is a test tool only. No module
-keeps an import it does not use, and the kernels module runs no matrix
-product (a BLAS call).
+keeps an import it does not use, the kernels module runs no matrix
+product (a BLAS call), and no module writes a ``.state`` attribute or
+imports a private numpy module.
 
 The scipy probe runs in a child process, because the test session itself
 may have imported scipy already.
@@ -8,6 +9,7 @@ may have imported scipy already.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,4 +92,39 @@ def test_kernels_module_runs_no_matrix_product():
             found.append(f"{node.attr} (line {node.lineno})")
         elif isinstance(node, ast.Name) and node.id in _MATRIX_PRODUCTS:
             found.append(f"{node.id} (line {node.lineno})")
+    assert not found, found
+
+
+_PRIVATE_NUMPY = re.compile(r"numpy\.(random\._|_?core\b)")
+
+
+def _numpy_internals(tree: ast.Module) -> list[str]:
+    """Assignments to a ``.state`` attribute, and imports of a private numpy
+    module; numpy treats both as implementation details."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "state":
+            if isinstance(node.ctx, ast.Store):
+                found.append(f".state = (line {node.lineno})")
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [f"import {n} (line {node.lineno})" for n in names if _PRIVATE_NUMPY.match(n)]
+    return found
+
+
+def test_no_module_sets_a_state_attribute_or_imports_numpy_internals():
+    # generators are seeded through numpy's public seed-sequence interface,
+    # never by writing a bit generator's state
+    pkg = Path(ciarith.__file__).resolve().parent
+    found = {
+        path.name: names
+        for path in sorted(pkg.glob("*.py"))
+        for names in [_numpy_internals(ast.parse(path.read_text(encoding="utf-8")))]
+        if names
+    }
     assert not found, found

@@ -3,10 +3,10 @@
 ``derive_seed`` is numpy's own SeedSequence; its test is the public
 contract that every stream seed is numpy's. The batched copy of numpy's
 hash seeds only the group-sampling streams: the harness derives every
-group-sampling target's seed, and that seed's PCG64 state, with it, and
-numpy is its oracle here. Every batched call runs with RuntimeWarning as
-an error, so a numpy scalar overflow in the uint32 arithmetic fails the
-test.
+group-sampling target's seed, and the words that seed's PCG64 seeds
+itself from, with it, and numpy is its oracle here. Every batched call
+runs with RuntimeWarning as an error, so a numpy scalar overflow in the
+uint32 arithmetic fails the test.
 """
 
 import numpy as np
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from ciarith.experiments import (
     _derived_seed_words,
-    _pcg64_states,
-    _seeded_permutations,
+    _HashedSeed,
+    _seed_state,
+    _seeded_generators,
     derive_seed,
 )
 
@@ -63,18 +64,40 @@ def test_negative_entropy_rejected():
 SEEDS = [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
 
 
+def _hashed_seeds(seeds) -> list[_HashedSeed]:
+    """The harness's seed sequence for each seed: its 8 output words as 4 uint64."""
+    words = np.ascontiguousarray(_seed_state(_words(seeds), 8), dtype="<u4")
+    return [_HashedSeed(w) for w in words.view("<u8")]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**32 - 1),
                           st.integers(2**32, 2**64 - 1)), min_size=1, max_size=20))
 def test_pcg64_states_match_numpy(seeds):
-    for (state, inc), s in zip(_pcg64_states(_words(seeds)), seeds):
-        assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}, s
+    # a seed below 2**32 is numpy's one-word entropy, which derived seeds rarely are
+    for hashed, s in zip(_hashed_seeds(seeds), seeds):
+        numpy_seq = np.random.SeedSequence(s)
+        for n_words, dtype in ((8, np.uint32), (4, np.uint64), (3, np.uint32), (1, np.uint64)):
+            got = hashed.generate_state(n_words, dtype)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, numpy_seq.generate_state(n_words, dtype))
+        assert np.random.PCG64(hashed).state == np.random.PCG64(s).state, s
 
 
-def test_reused_generator_draws_default_rng_permutations():
-    seeds = SEEDS + [derive_seed(5, 3, 2, 4, t) for t in range(20)]
-    for n in (1, 2, 17, 600):
-        draw = _seeded_permutations(_words(seeds), n)
-        # out of order, and twice: each draw starts from its own seed's state
-        for t in [*reversed(range(len(seeds))), 0, 3]:
-            np.testing.assert_array_equal(draw(t), np.random.default_rng(seeds[t]).permutation(n))
+@pytest.mark.parametrize("n_words, dtype, held", [(9, np.uint32, 8), (5, np.uint64, 4)])
+def test_hashed_seed_refuses_more_words_than_it_holds(n_words, dtype, held):
+    (hashed,) = _hashed_seeds([7])
+    with pytest.raises(ValueError, match=f"^{n_words} words requested, {held} held$"):
+        hashed.generate_state(n_words, dtype)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(ENTROPY_VALUES, min_size=0, max_size=4), st.integers(1, 12),
+       st.sampled_from([1, 2, 17, 600]))
+def test_seeded_generators_are_default_rng_of_derived_seeds(prefix, n, n_draw):
+    rngs = _seeded_generators(prefix, n)
+    assert len(rngs) == n
+    for t, rng in enumerate(rngs):
+        want = np.random.default_rng(derive_seed(*prefix, t))
+        assert rng.bit_generator.state == want.bit_generator.state, t
+        np.testing.assert_array_equal(rng.permutation(n_draw), want.permutation(n_draw))
