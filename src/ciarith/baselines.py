@@ -7,7 +7,7 @@ combined with a Bonferroni correction.
 
 Each family has an array-level core that bounds many targets at once
 (:func:`group_sampling_threshold` with
-:func:`~ciarith.cia.interval_from_threshold`, :func:`normal_interval`,
+:func:`~ciarith.core.interval_from_threshold`, :func:`normal_interval`,
 :func:`bonferroni_interval`); the experiment harness calls the cores
 directly. No core takes a score kind, which only picks the fields
 scored and summed; all bounds pass :func:`~ciarith.core.interval_bounds`.
@@ -34,13 +34,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import scoring
-from .cia import _integer, _prediction, interval_from_threshold
 from .core import (
     IntervalPrediction,
     LabeledSample,
+    _integer,
+    _prediction,
     check_alpha,
     extract_column,
     interval_bounds,
+    interval_from_threshold,
     kth_smallest,
     per_group,
     score_threshold,
@@ -114,8 +116,7 @@ def group_sampling_threshold(
         raise ValueError(
             f"group sampling needs a test size of at least 1, target {t} has {sizes[t]}"
         )
-    if K is not None and _integer("K", K) < 1:
-        raise ValueError("K must be at least 1")
+    K = None if K is None else _integer("K", K, 1)
     q = np.empty(sizes.size)
     for m in np.unique(sizes).tolist():
         targets = np.flatnonzero(sizes == m)

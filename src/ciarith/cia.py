@@ -10,12 +10,13 @@ Stratified prediction restricts the pool to groups whose calibration-side
 size falls in the same size bucket as the target's test-side size, merging
 adjacent buckets when a bucket is too thin to calibrate on.
 
-The module has two layers. The array engine (:func:`interval_from_threshold`,
-:func:`stratified_thresholds`, with the leave-one-out thresholds of
-:mod:`ciarith.core`) computes the bounds of every target of a split at
-once; the experiment harness calls it directly. For both score kinds
-an interval is the target's summed band padded by its threshold (a split
-band has zero width). The record adapters (:func:`cia_predict`,
+The module has two layers. The array engine (:func:`stratified_thresholds`,
+with the leave-one-out thresholds and the interval rule
+:func:`~ciarith.core.interval_from_threshold` of :mod:`ciarith.core`)
+computes the bounds of every target of a split at once; the experiment
+harness calls it directly. For both score kinds an interval is the
+target's summed band padded by its threshold (a split band has zero
+width). The record adapters (:func:`cia_predict`,
 :func:`stratified_cia_predict`) gather the fields of the calibration and
 test members with :func:`~ciarith.core.columns_at`, by position from a
 :class:`~ciarith.core.SampleSet`'s columns, run the engine for one
@@ -44,11 +45,13 @@ from .core import (
     LabeledSample,
     SampleSet,
     SplitAssignment,
+    _integer,
+    _prediction,
     check_alpha,
     columns_at,
     csr_offsets,
     group_csr,
-    interval_bounds,
+    interval_from_threshold,
     kth_smallest,
     leave_out_positions,
     loo_thresholds,
@@ -56,6 +59,7 @@ from .core import (
 )
 
 __all__ = [
+    "SPLIT_MODES",
     "GroupSplitView",
     "StrataSpec",
     "symmetric_split",
@@ -105,14 +109,6 @@ class GroupSplitView:
         return len(self.test_members)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float, even a whole one, is a ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}: {value!r} is not an integer") from None
-
-
 @dataclass(frozen=True)
 class StrataSpec:
     """Integer size buckets cut at sorted points: bucket j holds the sizes
@@ -129,9 +125,7 @@ class StrataSpec:
     min_bucket_count: int = 20
 
     def __post_init__(self):
-        count = _integer("min_bucket_count", self.min_bucket_count)
-        if count < 1:
-            raise ValueError("min_bucket_count must be >= 1")
+        count = _integer("min_bucket_count", self.min_bucket_count, 1)
         cuts = tuple(_integer("cuts", c) for c in self.cuts)
         if list(cuts) != sorted(set(cuts)) or min(cuts, default=1) < 1:
             raise ValueError(f"cuts must be positive and strictly increasing, got {cuts}")
@@ -174,6 +168,10 @@ class StrataSpec:
                 hi += 1
                 total += counts[hi]
         return lo, hi
+
+
+# the modes :func:`symmetric_split` implements
+SPLIT_MODES = ("balanced", "bernoulli")
 
 
 def symmetric_split(
@@ -260,15 +258,6 @@ def restrict_groups(
 # ---------------------------------------------------------------------------
 
 
-def interval_from_threshold(q, sums) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of each target: its summed band padded by its threshold.
-
-    ``sums`` holds the test-side sums, one entry per target, of the fields
-    the score kind sums: (pred,), a band of zero width, or (lo, hi).
-    """
-    return interval_bounds(sums[0] - q, sums[-1] + q)
-
-
 def stratified_thresholds(
     scores, cal_sizes, test_sizes, leave_out, strata: StrataSpec, alpha: float
 ) -> np.ndarray:
@@ -347,13 +336,6 @@ def _record_pool(views, samples, target_group, score_kind):
     t = pool.position[target_group]
     test = columns_at(samples, views[t].test_members, *fields[1:])
     return pool, t, test.sum(axis=-1, keepdims=True)
-
-
-def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:
-    """The record API's interval from one-element bound arrays."""
-    return IntervalPrediction(
-        group_id=group_id, lower=float(lower[0]), upper=float(upper[0]), alpha=alpha
-    )
 
 
 def cia_predict(

@@ -19,8 +19,10 @@ import json
 import logging
 import sys
 
+from .cia import SPLIT_MODES
 from .experiments import (
     METHOD_IDS,
+    NOISE_KINDS,
     ExperimentConfig,
     PathSampling,
     build_groups_by_category,
@@ -59,7 +61,7 @@ def _add_common(p: argparse.ArgumentParser, default_methods: str = "all") -> Non
     p.add_argument("--methods", type=_methods, default=_methods(default_methods),
                    help=f"comma-separated subset of {','.join(METHOD_IDS)}, or 'all'")
     p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--split", choices=("balanced", "bernoulli"), default="balanced")
+    p.add_argument("--split", choices=SPLIT_MODES, default="balanced")
     p.add_argument("--knn-k", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthetic-data experiment")
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--groups", type=int, default=300)
-    p.add_argument("--noise", choices=("gaussian", "student_t"), default="gaussian")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     p.add_argument("--features", type=int, default=3)
     _add_common(p)
     p.set_defaults(fn=_cmd_experiment, inputs=_synthetic_inputs)

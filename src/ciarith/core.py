@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ class _SampleColumns:
     def build(cls, samples: Iterable[LabeledSample]) -> "_SampleColumns":
         records = tuple(samples)
         index = np.fromiter((s.index for s in records), dtype=np.int64, count=len(records))
-        raw = [list(map(attrgetter(fld), records)) for fld in _SUM_FIELDS]
+        raw = [list(map(operator.attrgetter(fld), records)) for fld in _SUM_FIELDS]
         present = np.array([[v is not None for v in vals] for vals in raw], dtype=bool)
         values = np.array([[math.nan if v is None else v for v in vals] for vals in raw],
                           dtype=float)
@@ -259,7 +259,7 @@ class SampleSet:
         cols = self._columns
         if cols is None:
             cols = self._columns = _SampleColumns.build(
-                sorted(self._by_index.values(), key=attrgetter("index")))
+                sorted(self._by_index.values(), key=operator.attrgetter("index")))
         return cols
 
     def _positions(self, indices: Iterable[int]) -> np.ndarray:
@@ -336,6 +336,23 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int: the one rule for every size, count, seed and id.
+    A bool, or a value ``operator.index`` refuses (a float, even a whole
+    one), is a ValueError ``{name}: {value!r} is not an integer``, and one
+    below ``minimum`` is ``{name} must be >= {minimum}, got {value}``."""
+    if type(value) is not int:  # a plain int, the common case, is taken as is
+        try:
+            if isinstance(value, (bool, np.bool_)):  # operator.index takes a bool
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name}: {value!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _check_finite(values: np.ndarray, where) -> None:
     """ValueError reading ``{where(*i)} {value} is not finite`` for the first
     nan or inf in ``values``, ``i`` being its index."""
@@ -345,9 +362,10 @@ def _check_finite(values: np.ndarray, where) -> None:
 
 
 def _finite_scores(scores) -> np.ndarray:
+    """``scores`` as a float array; a nan or inf is a ValueError reading
+    ``score {position}: {value} is not finite``."""
     s = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+    _check_finite(s, lambda *i: f"score {i[0] if len(i) == 1 else i}:")
     return s
 
 
@@ -494,6 +512,22 @@ def interval_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, n
         t = bad[0]
         raise ValueError(f"target {t}: lower {lower[t]} exceeds upper {upper[t]}")
     return lower, upper
+
+
+def interval_from_threshold(q, sums) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of each target: its summed band padded by its threshold.
+
+    ``sums`` holds the test-side sums, one entry per target, of the fields
+    the score kind sums: (pred,), a band of zero width, or (lo, hi).
+    """
+    return interval_bounds(sums[0] - q, sums[-1] + q)
+
+
+def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction:
+    """The record API's interval from one-element bound arrays."""
+    return IntervalPrediction(
+        group_id=group_id, lower=float(lower[0]), upper=float(upper[0]), alpha=alpha
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import baselines, scoring
 from .cia import (
+    SPLIT_MODES,
     StrataSpec,
-    _integer,
     _overlap_deltas,
-    interval_from_threshold,
     restrict_groups,
     stratified_thresholds,
     symmetric_split,
@@ -38,11 +37,13 @@ from .cia import (
 from .core import (
     IndexGroup,
     _check_finite,
+    _integer,
     _NotANumber,
     _parse_field,
     _read_csv,
     csr_offsets,
     group_csr,
+    interval_from_threshold,
     loo_thresholds,
     per_group,
     row_sum,
@@ -53,6 +54,7 @@ from .models import fit_arrays, neighbor_labels, predict_point, quantile_index
 
 __all__ = [
     "METHOD_IDS",
+    "NOISE_KINDS",
     "ExperimentConfig",
     "MethodResult",
     "PathSampling",
@@ -153,8 +155,7 @@ def _seed_state(words: np.ndarray, n_words: int) -> np.ndarray:
 
 def _int_words(x: int) -> list[int]:
     """numpy's split of a seed int into little-endian 32-bit words; 0 is [0]."""
-    if x < 0:
-        raise ValueError(f"seed entropy must be non-negative, got {x}")
+    x = _integer("seed entropy", x, 0)
     words = [x & _MASK32]
     while x := x >> 32:
         words.append(x & _MASK32)
@@ -178,9 +179,7 @@ def derive_seed(*entropy: int) -> int:
     generators from them, in one batch (:func:`_seeded_generators`).
     Entropy must be non-negative.
     """
-    for x in entropy:
-        if x < 0:
-            raise ValueError(f"seed entropy must be non-negative, got {x}")
+    entropy = [_integer("seed entropy", x, 0) for x in entropy]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -228,14 +227,12 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "reps", _integer("reps", self.reps))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "reps", _integer("reps", self.reps, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.knn_k is not None:
-            object.__setattr__(self, "knn_k", _integer("knn_k", self.knn_k))
+            object.__setattr__(self, "knn_k", _integer("knn_k", self.knn_k, 1))
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("alphas must be a non-empty list within (0, 1)")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError("train_frac must be in (0, 1)")
         if not self.methods:
@@ -245,12 +242,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         _check_distinct("alphas", self.alphas)
         _check_distinct("methods", self.methods)
-        if self.split_mode not in ("balanced", "bernoulli"):
+        if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.split_mode!r}")
-        if self.knn_k is not None and self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -273,12 +266,8 @@ class PathSampling:
     min_path_len: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_paths", _integer("n_paths", self.n_paths))
-        object.__setattr__(self, "min_path_len", _integer("min_path_len", self.min_path_len))
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.min_path_len < 1:
-            raise ValueError(f"min_path_len must be >= 1, got {self.min_path_len}")
+        object.__setattr__(self, "n_paths", _integer("n_paths", self.n_paths, 1))
+        object.__setattr__(self, "min_path_len", _integer("min_path_len", self.min_path_len, 1))
 
 
 @dataclass(frozen=True)
@@ -355,8 +344,7 @@ def load_tabular_csv(
     ``discretize_bins`` (at least 1) equal-frequency bins. The label may
     not be a grouping column; every other column becomes a model feature.
     """
-    if discretize_bins is not None and discretize_bins < 1:
-        raise ValueError(f"discretize_bins must be >= 1, got {discretize_bins}")
+    bins = None if discretize_bins is None else _integer("discretize_bins", discretize_bins, 1)
     if label_column in grouping_columns:
         raise ValueError(f"label column {label_column!r} is also a grouping column")
     with _read_csv(path) as (header, rows):
@@ -384,8 +372,8 @@ def load_tabular_csv(
             continue
         if np.array_equal(values, np.floor(values)):
             group_values[col] = tuple(map(int, values.tolist()))
-        elif discretize_bins:
-            qs = np.quantile(values, np.linspace(0, 1, discretize_bins + 1)[1:-1])
+        elif bins:
+            qs = np.quantile(values, np.linspace(0, 1, bins + 1)[1:-1])
             group_values[col] = tuple(np.searchsorted(qs, values).tolist())
         else:
             raise ValueError(
@@ -428,6 +416,10 @@ def build_groups_by_category(
     ]
 
 
+# the noise kinds :func:`generate_synthetic` draws
+NOISE_KINDS = ("gaussian", "student_t")
+
+
 def generate_synthetic(
     n_samples: int,
     n_groups: int,
@@ -440,14 +432,13 @@ def generate_synthetic(
     Samples are i.i.d. and the partition is an exchangeable random one, so
     the groups satisfy the exchangeability the coverage guarantee needs.
     """
-    for field, value in (("n_groups", n_groups), ("n_features", n_features)):
-        if value < 1:
-            raise ValueError(f"{field} must be >= 1, got {value}")
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
+    n_samples = _integer("n_samples", n_samples)
+    n_groups = _integer("n_groups", n_groups, 1)
+    n_features = _integer("n_features", n_features, 1)
+    rng_seed = _integer("rng_seed", rng_seed, 0)
     if n_groups > n_samples:
         raise ValueError("n_groups cannot exceed n_samples")
-    if noise_kind not in ("gaussian", "student_t"):
+    if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     rng = np.random.default_rng(rng_seed)
     X = rng.standard_normal((n_samples, n_features))
@@ -806,7 +797,7 @@ def overlap_gap_study(
     rows; a row whose path sampling yields no usable rep is skipped with a
     warning.
     """
-    min_len_grid = [int(m) for m in min_len_grid]
+    min_len_grid = [_integer("min_len_grid", m) for m in min_len_grid]
     _check_distinct("min_len_grid", min_len_grid)
     prep = _prepare_graph(graph, config)
     rows: list[OverlapStudyRow] = []

@@ -18,8 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .cia import _integer
-from .core import IndexGroup, _parse_field, _read_csv
+from .core import IndexGroup, _integer, _parse_field, _read_csv
 
 __all__ = [
     "Edge",
@@ -73,8 +72,8 @@ class WeightedGraph:
     """
 
     def __init__(self, nodes: Iterable[int], edges: Sequence[Edge]):
-        self.node_ids = np.array(sorted(set(int(n) for n in nodes)), dtype=np.int64)
-        self._node_pos = {int(n): i for i, n in enumerate(self.node_ids)}
+        self.node_ids = np.array(sorted({_integer("node", n) for n in nodes}), dtype=np.int64)
+        self._node_pos = {n: i for i, n in enumerate(self.node_ids.tolist())}
         # row order is edge-id order, so ties resolve toward smaller ids
         self.edges = tuple(sorted(edges, key=lambda e: e.edge_id))
 
@@ -100,7 +99,7 @@ class WeightedGraph:
                     )
 
         self.edge_ids = np.array([e.edge_id for e in self.edges], dtype=np.int64)
-        self._edge_row = {int(e.edge_id): i for i, e in enumerate(self.edges)}
+        self._edge_row = {_integer("edge_id", e.edge_id): i for i, e in enumerate(self.edges)}
         self.costs = np.array([e.cost for e in self.edges], dtype=float)
         self.src_pos = np.array([self._node_pos[e.src] for e in self.edges], dtype=np.int64)
         self.dst_pos = np.array([self._node_pos[e.dst] for e in self.edges], dtype=np.int64)
@@ -137,13 +136,13 @@ class WeightedGraph:
 
     def node_position(self, node_id: int) -> int:
         try:
-            return self._node_pos[int(node_id)]
+            return self._node_pos[_integer("node", node_id)]
         except KeyError:
             raise ValueError(f"unknown node {node_id}") from None
 
     def edge_row(self, edge_id: int) -> int:
         try:
-            return self._edge_row[int(edge_id)]
+            return self._edge_row[_integer("edge_id", edge_id)]
         except KeyError:
             raise ValueError(f"unknown edge {edge_id}") from None
 
@@ -222,8 +221,10 @@ def _cost_array(graph: WeightedGraph, cost_fn) -> np.ndarray:
             raise ValueError(
                 f"cost array has shape {cost.shape}, expected ({graph.n_edges},)"
             )
-    if cost.size and (not np.all(np.isfinite(cost)) or cost.min() < 0):
-        raise ValueError("edge costs must be finite and non-negative")
+    bad = np.flatnonzero(~(np.isfinite(cost) & (cost >= 0)))
+    if bad.size:
+        raise ValueError(f"edge {graph.edge_ids[bad[0]]} has cost {cost[bad[0]]}: "
+                         "edge costs must be finite and non-negative")
     return cost
 
 
@@ -292,11 +293,9 @@ def sample_path_groups(
     tree takes 4 bytes per node, and the cache keeps at most about 64 MB
     of them per graph, dropping the oldest first.
     """
-    K = _integer("K", K)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if _integer("min_path_len", min_path_len) < 1:
-        raise ValueError("min_path_len must be >= 1")
+    K = _integer("K", K, 1)
+    min_path_len = _integer("min_path_len", min_path_len, 1)
+    retry_factor = _integer("retry_factor", retry_factor, 1)
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample paths")
     cost = graph._tree_cache(_cost_array(graph, cost_fn))[0]

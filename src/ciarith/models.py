@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledSample, _check_finite, extract_column
+from .core import LabeledSample, _check_finite, _integer, extract_column
 
 __all__ = ["FittedModel", "fit", "predict_point", "predict_quantiles"]
 
@@ -71,8 +71,7 @@ def fit_arrays(
         raise ValueError("features must be a non-empty (n, d) matrix aligned with labels")
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if k_neighbors is not None and k_neighbors < 1:
-        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
+    k_neighbors = None if k_neighbors is None else _integer("k_neighbors", k_neighbors, 1)
     _check_finite(X, "row {}, feature {}:".format)
     _check_finite(y, "row {}: label".format)
 

@@ -182,10 +182,10 @@ class TestGroupSamplingBatched:
 
     def test_k_below_one_raises(self):
         cols = self._cols(np.random.default_rng(35), 10, "split")
-        with pytest.raises(ValueError, match="K must be at least 1"):
+        with pytest.raises(ValueError, match=r"^K must be >= 1, got 0$"):
             group_sampling_threshold(cols, [2], 0.2, scoring.split_score, 0, _rngs(1))
 
-    @pytest.mark.parametrize("K", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("K", [2.5, 2.0, "2", True])
     def test_non_integer_k_is_named(self, K):
         cols = self._cols(np.random.default_rng(37), 10, "split")
         cal = [mk(i, y=float(y), pred=float(p)) for i, (y, p) in enumerate(zip(*cols))]

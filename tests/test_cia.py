@@ -373,6 +373,7 @@ class TestStrataSpec:
         ((2.5,), 20, "cuts: 2.5 is"), ((1, 2.0), 20, "cuts: 2.0 is"),
         (np.array([1.0, 2.0]), 20, "cuts: np.float64(1.0) is"), (("2",), 20, "cuts: '2' is"),
         ((), 2.0, "min_bucket_count: 2.0 is"), ((), 0.5, "min_bucket_count: 0.5 is"),
+        ((), True, "min_bucket_count: True is"), ((True,), 20, "cuts: True is"),
     ])
     def test_non_integer_cut_or_count_rejected(self, cuts, count, bad):
         with pytest.raises(ValueError, match=f"^{re.escape(bad)} not an integer$"):

@@ -5,7 +5,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from ciarith.cia import SPLIT_MODES
 from ciarith.cli import main
+from ciarith.experiments import NOISE_KINDS
 from ciarith.report import read_results_csv
 from conftest import child_env
 
@@ -42,6 +44,12 @@ class TestSimulate:
         assert (tmp_path / "a/results.csv").read_bytes() == (
             tmp_path / "b/results.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("mode, noise", zip(SPLIT_MODES, NOISE_KINDS))
+    def test_every_split_mode_and_noise_kind_is_offered_and_runs(self, mode, noise, tmp_path):
+        rc = run_cli("simulate", "--n", "60", "--groups", "6", "--split", mode, "--noise", noise,
+                     "--reps", "1", "--methods", "cia_split", "--out", str(tmp_path / "o"))
+        assert rc == 0
 
 
 class TestGroupAvg:

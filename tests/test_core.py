@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -25,6 +26,7 @@ from ciarith.core import (
     group_csr,
     group_sum,
     interval_bounds,
+    kth_smallest,
     per_group,
     samples_at,
     score_threshold,
@@ -144,6 +146,15 @@ class TestConformalQuantile:
 
 
 class TestScoreThreshold:
+    @pytest.mark.parametrize("scores, where", [
+        ([1.0, math.nan, 2.0], "score 1: nan"),
+        ([1.0, 2.0, -math.inf], "score 2: -inf"),
+        ([[1.0, 2.0], [3.0, math.inf]], "score (1, 1): inf"),
+    ])
+    def test_non_finite_score_is_named_by_position(self, scores, where):
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)} is not finite$"):
+            kth_smallest(scores, 0.1)
+
     def test_accepts_negative_scores(self):
         assert score_threshold([-3.0, -1.0, -2.0], 0.5).value == -2.0
 

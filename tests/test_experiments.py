@@ -195,6 +195,13 @@ class TestLoadTabularCsv:
         ds = load_tabular_csv(p, "y", ["v"], discretize_bins=2)
         assert len(set(ds.group_values["v"])) == 2
 
+    @pytest.mark.parametrize("bins", [2.5, 2.0, True])
+    def test_non_integer_discretize_bins_rejected_by_name(self, tmp_path, bins):
+        p = tmp_path / "d.csv"
+        p.write_text("y,v\n1,0.25\n2,0.5\n3,0.75\n4,0.9\n")
+        with pytest.raises(ValueError, match=rf"^discretize_bins: {bins!r} is not an integer$"):
+            load_tabular_csv(p, "y", ["v"], discretize_bins=bins)
+
     @pytest.mark.parametrize("bins", [0, -3])
     def test_discretize_bins_below_one_rejected(self, tmp_path, bins):
         p = tmp_path / "d.csv"
@@ -264,6 +271,16 @@ class TestGenerateSynthetic:
     def test_unknown_noise_rejected(self):
         with pytest.raises(ValueError, match="noise"):
             generate_synthetic(10, 2, "cauchy", 0)
+
+    @pytest.mark.parametrize("field, kw", [
+        ("n_groups", dict(n_samples=100, n_groups=2.5)),  # once silently 2 groups
+        ("n_samples", dict(n_samples=100.0, n_groups=4)),
+        ("n_features", dict(n_samples=100, n_groups=4, n_features=2.0)),
+        ("rng_seed", dict(n_samples=100, n_groups=4, rng_seed=True)),
+    ])
+    def test_non_integer_size_rejected_by_name(self, field, kw):
+        with pytest.raises(ValueError, match=rf"^{field}: {kw[field]!r} is not an integer$"):
+            generate_synthetic(**kw)
 
 
 class TestRunExperiment:
@@ -423,6 +440,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^min_len_grid repeats 3$"):
             overlap_gap_study(make_grid_graph(4), cfg, [3, 1, 3])
 
+    @pytest.mark.parametrize("bad", [1.5, 3.0, True])
+    def test_overlap_study_rejects_non_integer_min_len(self, bad):
+        # once truncated by int(), so 1.5 ran as min_len 1
+        cfg = ExperimentConfig(alphas=(0.1,), reps=1, methods=("cia_split",))
+        with pytest.raises(ValueError, match=rf"^min_len_grid: {bad!r} is not an integer$"):
+            overlap_gap_study(make_grid_graph(4), cfg, [3, bad])
+
     def test_train_frac_bounds(self):
         with pytest.raises(ValueError, match="train_frac"):
             ExperimentConfig(alphas=(0.1,), train_frac=1.0)
@@ -453,6 +477,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("reps", 2.5), ("reps", 2.0), ("seed", 1.5), ("knn_k", 2.0), ("knn_k", "3"),
+        ("reps", True), ("seed", False), ("knn_k", True),
     ])
     def test_config_rejects_non_integer_sizes_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field}: {value!r} is not an integer$"):
@@ -461,6 +486,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, kw", [
         ("n_paths", dict(n_paths=2.5)),
         ("min_path_len", dict(n_paths=5, min_path_len=2.0)),
+        ("n_paths", dict(n_paths=True)),
     ])
     def test_path_sampling_rejects_non_integer_sizes_by_name(self, field, kw):
         with pytest.raises(ValueError, match=rf"^{field}: {kw[field]!r} is not an integer$"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,33 @@ class TestDijkstra:
         with pytest.raises(ValueError, match="non-negative"):
             dijkstra(g, 0, 1, cost_fn=np.array([-0.5]))
 
+    @staticmethod
+    def _chain():
+        # 0 -> 1 -> 2 -> 3, edge ids 10, 11, 12 so an id is never its row
+        edges = [Edge(10 + i, i, i + 1, 1.0) for i in range(3)]
+        return WeightedGraph(nodes=range(4), edges=edges)
+
+    @pytest.mark.parametrize("cost_fn, where", [
+        (np.array([1.0, math.nan, 1.0]), "edge 11 has cost nan"),
+        (np.array([1.0, 1.0, -math.inf]), "edge 12 has cost -inf"),
+        (lambda e: -1.0 if e.edge_id == 12 else 1.0, "edge 12 has cost -1.0"),
+    ], ids=["nan-array", "-inf-array", "negative-callable"])
+    def test_bad_cost_names_the_first_bad_edge(self, cost_fn, where):
+        with pytest.raises(ValueError,
+                           match=rf"^{where}: edge costs must be finite and non-negative$"):
+            dijkstra(self._chain(), 0, 3, cost_fn=cost_fn)
+
+    @pytest.mark.parametrize("source, target", [(1.5, 3), (True, 3), (0, 3.0), (0, np.float64(3))])
+    def test_non_integer_node_rejected_by_name(self, source, target):
+        bad = re.escape(repr(source if isinstance(target, int) else target))
+        with pytest.raises(ValueError, match=rf"^node: {bad} is not an integer$"):
+            dijkstra(self._chain(), source, target)
+
+    @pytest.mark.parametrize("edge_id", [1.7, 11.0, True])
+    def test_non_integer_edge_id_rejected_by_name(self, edge_id):
+        with pytest.raises(ValueError, match=rf"^edge_id: {edge_id!r} is not an integer$"):
+            self._chain().edge_row(edge_id)
+
     def test_cost_override_changes_route(self):
         g = WeightedGraph(
             nodes=[0, 1, 2],
@@ -191,10 +219,17 @@ class TestSamplePathGroups:
 
     @pytest.mark.parametrize("field, kw", [
         ("K", dict(K=2.5)), ("min_path_len", dict(K=2, min_path_len=1.0)),
+        ("K", dict(K=True)), ("retry_factor", dict(K=2, retry_factor=2.5)),
     ])
     def test_non_integer_size_rejected_by_name(self, field, kw):
         with pytest.raises(ValueError, match=rf"^{field}: {kw[field]!r} is not an integer$"):
             sample_path_groups(self._grid(), rng_seed=1, **kw)
+
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_retry_factor_below_one_rejected_by_name(self, factor):
+        # not "collected only 0 of 2 paths within 0 draws", which blames the graph
+        with pytest.raises(ValueError, match=rf"^retry_factor must be >= 1, got {factor}$"):
+            sample_path_groups(self._grid(), K=2, rng_seed=1, retry_factor=factor)
 
     def test_more_overlap_with_longer_paths(self):
         g = self._grid(k=6)
@@ -488,6 +523,23 @@ class TestGraphValidation:
     def test_dangling_node_rejected(self):
         with pytest.raises(ValueError, match="unknown node"):
             WeightedGraph(nodes=[0], edges=[Edge(0, 0, 1, 1.0)])
+
+    @pytest.mark.parametrize("field, nodes, edge_id, bad", [
+        ("edge_id", [0, 1], 1.5, "1.5"), ("edge_id", [0, 1], 7.0, "7.0"),
+        ("edge_id", [0, 1], True, "True"), ("node", [0, 1, 2.5], 0, "2.5"),
+        ("node", [0, 1, 1.0], 0, "1.0"),
+    ])
+    def test_non_integer_id_rejected_by_name(self, field, nodes, edge_id, bad):
+        # once truncated by int(), so edge 1.5 was filed as edge 1
+        with pytest.raises(ValueError, match=rf"^{field}: {bad} is not an integer$"):
+            WeightedGraph(nodes=nodes, edges=[Edge(edge_id, 0, 1, 1.0)])
+
+    def test_integer_like_ids_are_accepted(self):
+        edge = Edge(np.int64(4), np.int32(0), np.uint8(1), 1.0)
+        g = WeightedGraph(nodes=np.arange(2), edges=[edge])
+        path = dijkstra(g, np.int64(0), 1)
+        assert path.edge_ids == (4,) and type(path.edge_ids[0]) is int
+        assert g.edge_row(np.int64(4)) == 0 and g.node_position(np.int16(1)) == 1
 
     def test_duplicate_edge_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -229,6 +229,12 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="k_neighbors"):
             fit_arrays(np.zeros((4, 1)), np.arange(4.0), "knn", k_neighbors=k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k_rejected_at_fit(self, k):
+        # not at predict time, as a bare TypeError from the neighbour selection
+        with pytest.raises(ValueError, match=rf"^k_neighbors: {k!r} is not an integer$"):
+            fit_arrays(np.zeros((4, 1)), np.arange(4.0), "knn", k_neighbors=k)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             fit(rows([[0.0]], [1]), "forest")

@@ -1,7 +1,8 @@
 """Runtime code must not import scipy: it is a test tool only. No module
 keeps an import it does not use, the kernels module runs no matrix
-product (a BLAS call), and no module writes a ``.state`` attribute or
-imports a private numpy module.
+product (a BLAS call), no module writes a ``.state`` attribute or
+imports a private numpy module, and every module imports only from the
+layers below its own.
 
 The scipy probe runs in a child process, because the test session itself
 may have imported scipy already.
@@ -128,3 +129,46 @@ def test_no_module_sets_a_state_attribute_or_imports_numpy_internals():
         if names
     }
     assert not found, found
+
+
+# The package's layers, lowest first. A module imports only from lower
+# layers; ``__init__`` re-exports them all and is exempt.
+_LAYERS = (
+    ("core",),
+    ("kernels", "scoring", "models"),
+    ("cia", "baselines", "graph"),
+    ("experiments",),
+    ("report",),
+    ("cli",),
+)
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, sibling module) of every import of the package's own modules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names if a.name.startswith("ciarith.")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "ciarith"
+                                                   or node.module.startswith("ciarith.")):
+            # from .x import y, from . import x, and their absolute spellings
+            module = node.module if node.level else node.module.partition(".")[2]
+            names = [module] if module else [a.name for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, n.partition(".")[0]) for n in names]
+    return found
+
+
+def test_every_module_imports_only_from_lower_layers():
+    layer = {m: i for i, mods in enumerate(_LAYERS) for m in mods}
+    pkg = Path(ciarith.__file__).resolve().parent
+    modules = sorted(p.stem for p in pkg.glob("*.py") if p.stem != "__init__")
+    assert modules == sorted(layer), "every module belongs to exactly one layer"
+    upward = [
+        f"{m} imports {dep} (line {line})"
+        for m in modules
+        for line, dep in _package_imports(ast.parse((pkg / f"{m}.py").read_text(encoding="utf-8")))
+        if layer[dep] >= layer[m]
+    ]
+    assert not upward, upward

@@ -57,8 +57,16 @@ def test_batched_seeds_match_one_seed_per_target(prefix, n):
 
 
 def test_negative_entropy_rejected():
-    with pytest.raises(ValueError, match="non-negative, got -1"):
+    with pytest.raises(ValueError, match=r"^seed entropy must be >= 0, got -1$"):
         derive_seed(3, -1)
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, True])
+def test_non_integer_entropy_rejected_by_name(x):
+    with pytest.raises(ValueError, match=rf"^seed entropy: {x!r} is not an integer$"):
+        derive_seed(3, x)
+    with pytest.raises(ValueError, match=rf"^seed entropy: {x!r} is not an integer$"):
+        _derived_seed_words([3, x], 2)
 
 
 SEEDS = [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
