@@ -39,6 +39,7 @@ from .core import (
     LabeledSample,
     _integer,
     _prediction,
+    _rng,
     check_alpha,
     extract_column,
     interval_bounds,
@@ -151,13 +152,14 @@ def group_sampling_predict(
     assumption here, not a property inherited from the data.
     """
     check_alpha(alpha)
+    rng = _rng(rng_seed)
     score, fields = scoring.score_kind(score_kind)
     m = len(target_test_samples)
     if m == 0:
         return _prediction(group_id, alpha, [0.0], [0.0])
     cols = extract_column(cal_samples, *fields)
     sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
-    q = group_sampling_threshold(cols, [m], alpha, score, K, [np.random.default_rng(rng_seed)])
+    q = group_sampling_threshold(cols, [m], alpha, score, K, [rng])
     return _prediction(group_id, alpha, *interval_from_threshold(q, sums))
 
 

@@ -47,6 +47,7 @@ from .core import (
     SplitAssignment,
     _integer,
     _prediction,
+    _rng,
     check_alpha,
     columns_at,
     csr_offsets,
@@ -186,7 +187,7 @@ def symmetric_split(
     idx = np.array(sorted(set(universe)), dtype=np.int64)
     if idx.size == 0:
         raise ValueError("universe must be non-empty")
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     if mode == "balanced":
         perm = rng.permutation(idx.size)
         n_cal = (idx.size + 1) // 2

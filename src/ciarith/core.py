@@ -353,6 +353,13 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _rng(rng_seed) -> np.random.Generator:
+    """A Generator as is, else one seeded with the int ``rng_seed`` >= 0."""
+    if isinstance(rng_seed, np.random.Generator):
+        return rng_seed
+    return np.random.default_rng(_integer("rng_seed", rng_seed, 0))
+
+
 def _check_finite(values: np.ndarray, where) -> None:
     """ValueError reading ``{where(*i)} {value} is not finite`` for the first
     nan or inf in ``values``, ``i`` being its index."""

@@ -41,6 +41,7 @@ from .core import (
     _NotANumber,
     _parse_field,
     _read_csv,
+    _rng,
     csr_offsets,
     group_csr,
     interval_from_threshold,
@@ -435,12 +436,11 @@ def generate_synthetic(
     n_samples = _integer("n_samples", n_samples)
     n_groups = _integer("n_groups", n_groups, 1)
     n_features = _integer("n_features", n_features, 1)
-    rng_seed = _integer("rng_seed", rng_seed, 0)
+    rng = _rng(rng_seed)
     if n_groups > n_samples:
         raise ValueError("n_groups cannot exceed n_samples")
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
-    rng = np.random.default_rng(rng_seed)
     X = rng.standard_normal((n_samples, n_features))
     beta = rng.uniform(0.5, 1.5, size=n_features)
     noise = (

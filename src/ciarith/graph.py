@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .core import IndexGroup, _integer, _parse_field, _read_csv
+from .core import IndexGroup, _integer, _parse_field, _read_csv, _rng
 
 __all__ = [
     "Edge",
@@ -37,6 +37,9 @@ _HEADER_FIXED = ("edge_id", "src", "dst", "cost")
 # Memory a graph may spend on cached shortest-path trees (4-byte pred_edge
 # arrays of n_nodes entries each); past it the oldest tree is dropped.
 _TREE_CACHE_BYTES = 64 * 2**20
+
+# (source x edge) cells of a kernels.dijkstra_arrays call, some 30 bytes each
+_TREE_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,8 @@ class PathGroup:
 
 
 class WeightedGraph:
-    """Immutable directed graph with non-negative edge costs.
-
-    For one cost array at a time, the graph caches the adjacency lists its
-    shortest-path searches walk and the trees behind :func:`dijkstra`.
-    """
+    """Immutable directed graph with non-negative edge costs; it caches the
+    shortest-path trees behind :func:`dijkstra` for one cost array at a time."""
 
     def __init__(self, nodes: Iterable[int], edges: Sequence[Edge]):
         self.node_ids = np.array(sorted({_integer("node", n) for n in nodes}), dtype=np.int64)
@@ -120,11 +120,8 @@ class WeightedGraph:
         if bad.size:
             e = self.edges[bad[0]]
             raise ValueError(f"edge {e.edge_id} has non-finite label {e.label}")
-        # (read-only copy of the costs, their adjacency lists,
-        # {source position: pred_edge})
-        self._trees: tuple[np.ndarray | None, list | None, OrderedDict[int, array]] = (
-            None, None, OrderedDict()
-        )
+        # (read-only copy of the costs, {source position: pred_edge})
+        self._trees: tuple[np.ndarray | None, OrderedDict[int, array]] = (None, OrderedDict())
 
     @property
     def n_nodes(self) -> int:
@@ -146,19 +143,8 @@ class WeightedGraph:
         except KeyError:
             raise ValueError(f"unknown edge {edge_id}") from None
 
-    def _adjacency(self, cost: np.ndarray) -> list[list[tuple[int, int, float]]]:
-        """``adj[u]``: one (dst position, edge row, cost) per out-edge of
-        node position u, in row order (the search's result does not depend
-        on it)."""
-        adj = [[] for _ in range(self.n_nodes)]
-        rows = zip(self.src_pos.tolist(), self.dst_pos.tolist(), cost.tolist())
-        for e, (u, v, c) in enumerate(rows):
-            adj[u].append((v, e, c))
-        return adj
-
     def _tree_cache(self, cost: np.ndarray):
-        """(read-only copy of ``cost``, its adjacency, its cached trees by
-        source position).
+        """(read-only copy of ``cost``, its cached trees by source position).
 
         ``cost`` is a validated array in edge-row order. Trees are cached
         for one cost array at a time, so costs that differ from the cached
@@ -166,29 +152,29 @@ class WeightedGraph:
         comparison and the validation in :func:`dijkstra`.
         """
         entry = self._trees
-        if entry[0] is not None and (cost is entry[0] or np.array_equal(cost, entry[0])):
-            return entry
-        copy = np.array(cost, dtype=float)
-        copy.flags.writeable = False
-        entry = (copy, self._adjacency(copy), OrderedDict())
-        self._trees = entry
+        if entry[0] is None or not (cost is entry[0] or np.array_equal(cost, entry[0])):
+            copy = np.array(cost, dtype=float)
+            copy.flags.writeable = False
+            self._trees = entry = (copy, OrderedDict())
         return entry
 
-    def _shortest_path_tree(self, source_pos: int, cost: np.ndarray) -> array:
-        """``pred_edge`` of the full shortest-path tree rooted at
-        ``source_pos`` under ``cost``, cached (see :meth:`_tree_cache`).
-
-        Within :data:`_TREE_CACHE_BYTES` the oldest tree is evicted first.
-        """
-        _, adj, trees = self._tree_cache(cost)
-        tree = trees.get(source_pos)
-        if tree is None:
-            tree = array("i", kernels.dijkstra_arrays(adj, source_pos, -1)[2])
-            capacity = max(1, _TREE_CACHE_BYTES // (tree.itemsize * len(tree)))
-            if len(trees) >= capacity:
-                trees.popitem(last=False)
-            trees[source_pos] = tree
-        return tree
+    def _build_trees(self, sources, cost: np.ndarray) -> OrderedDict[int, array]:
+        """The trees of :meth:`_tree_cache`, with those rooted at the node
+        positions ``sources`` added as far as they fit, in kernel calls of at
+        most :data:`_TREE_BLOCK_CELLS` (sources x edges) cells."""
+        cost, trees = self._tree_cache(cost)
+        capacity = max(1, _TREE_CACHE_BYTES // (4 * self.n_nodes))
+        missing = [s for s in dict.fromkeys(sources) if s not in trees][:capacity]
+        step = max(1, _TREE_BLOCK_CELLS // max(1, self.n_edges))
+        for i in range(0, len(missing), step):
+            block = missing[i:i + step]
+            _, pred_edge = kernels.dijkstra_arrays(
+                self.src_pos, self.dst_pos, cost, self.n_nodes, block)
+            for s, row in zip(block, pred_edge.astype(np.intc)):
+                if len(trees) >= capacity:
+                    trees.popitem(last=False)
+                trees[s] = array("i", row.tobytes())
+        return trees
 
     def validate_path(self, path: PathGroup) -> None:
         """Check the chaining invariant; raises ValueError when broken."""
@@ -237,26 +223,28 @@ def dijkstra(
     """Minimum-cost path from source to target, or None when unreachable.
 
     ``cost_fn`` may be a per-edge callable, an array aligned with the
-    graph's edge order, or None for the stored costs. Distance ties resolve
-    toward the smallest (predecessor node, edge) pair, so results are
-    reproducible across runs.
+    graph's edge order, or None for the stored costs. The path is read from
+    the shortest-path tree rooted at ``source``, which the graph caches for
+    the current costs (see :func:`sample_path_groups`).
 
-    The path is read from the full shortest-path tree rooted at
-    ``source``, which the graph caches for the current costs (see
-    :func:`sample_path_groups`), so later queries from the same source
-    cost only the walk back from ``target``. A node's predecessor is fixed
-    once it is settled, so the path is the one a search stopping at
-    ``target`` would find.
+    Ties follow a fixed rule. A node's tree edge is the least (predecessor
+    node, edge) pair among its in-edges on a shortest path from strictly
+    closer nodes. When no cost is 0 (or too small to change a sum), every
+    such in-edge comes from a strictly closer node, and this is the tree of
+    a heap search that breaks ties the same way, so the path is the one a
+    search stopping at ``target`` finds. A node reached only over zero-cost
+    edges from nodes at its own distance takes the least pair among its
+    in-edges from those with the fewest such hops from ``source`` or from a
+    strictly closer node. There a heap search may differ, as its choice
+    depends on the order in which it settles nodes at equal distance.
     """
     s = graph.node_position(source)
     t = graph.node_position(target)
-    if cost_fn is not None and cost_fn is graph._trees[0]:
-        cost = cost_fn  # the graph's own copy, validated when it was made
-    else:
-        cost = _cost_array(graph, cost_fn)
+    own = cost_fn is not None and cost_fn is graph._trees[0]  # validated when copied
+    cost = cost_fn if own else _cost_array(graph, cost_fn)
     if s == t:
         return PathGroup(source=source, target=target, edge_ids=())
-    pred_edge = graph._shortest_path_tree(s, cost)
+    pred_edge = graph._tree_cache(cost)[1].get(s) or graph._build_trees([s], cost)[s]
     if pred_edge[t] < 0:
         return None
     edges, node_pos = graph.edges, graph._node_pos
@@ -266,8 +254,7 @@ def dijkstra(
         e = edges[pred_edge[at]]
         ids.append(int(e.edge_id))
         at = node_pos[e.src]
-    ids.reverse()
-    return PathGroup(source=source, target=target, edge_ids=tuple(ids))
+    return PathGroup(source=source, target=target, edge_ids=tuple(ids[::-1]))
 
 
 def sample_path_groups(
@@ -282,16 +269,18 @@ def sample_path_groups(
 
     Pairs whose shortest path is missing or shorter than ``min_path_len``
     edges are skipped. Raises after ``retry_factor * K`` draws reporting
-    how many paths were collected.
+    how many paths were collected. ``rng_seed`` is an int >= 0 or a
+    ``np.random.Generator``.
 
-    Each path is read from the full shortest-path tree rooted at its
-    source (see :func:`dijkstra`), so every distinct source costs one
-    complete search. The trees are cached on the graph for the last cost
-    array used: later calls with equal costs, such as the reps of an
-    experiment, reuse them, and a call with other costs drops them. The
-    costs are validated and compared once per call, not once per draw. A
-    tree takes 4 bytes per node, and the cache keeps at most about 64 MB
-    of them per graph, dropping the oldest first.
+    Each path is read from the full shortest-path tree rooted at its source
+    (see :func:`dijkstra`, also for its tie rule). Pairs are drawn in blocks
+    of ``min(K - accepted, retry_factor * K - drawn)``, which a one-by-one
+    loop would draw next whatever it accepts; a block's missing trees are
+    built in batches, then its pairs go through :func:`dijkstra` in order.
+    The trees are cached on the graph for the last cost array used, so
+    later calls with equal costs (the reps of an experiment) reuse them,
+    and the costs are validated and compared once per call. A tree takes 4
+    bytes per node; the cache keeps about 64 MB of them, oldest dropped first.
     """
     K = _integer("K", K, 1)
     min_path_len = _integer("min_path_len", min_path_len, 1)
@@ -299,20 +288,19 @@ def sample_path_groups(
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample paths")
     cost = graph._tree_cache(_cost_array(graph, cost_fn))[0]
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     budget = retry_factor * K
     out: list[PathGroup] = []
-    n = graph.n_nodes
-    for _ in range(budget):
-        if len(out) >= K:
-            break
-        s = int(rng.integers(n))
-        t = int(rng.integers(n - 1))
-        if t >= s:
-            t += 1
-        path = dijkstra(graph, int(graph.node_ids[s]), int(graph.node_ids[t]), cost)
-        if path is not None and len(path) >= min_path_len:
-            out.append(path)
+    n, ids, drawn = graph.n_nodes, graph.node_ids.tolist(), 0
+    while len(out) < K and drawn < budget:
+        pairs = [(int(rng.integers(n)), int(rng.integers(n - 1)))
+                 for _ in range(min(K - len(out), budget - drawn))]
+        drawn += len(pairs)
+        graph._build_trees([s for s, _ in pairs], cost)
+        for s, t in pairs:  # t is drawn from the n - 1 nodes other than s
+            path = dijkstra(graph, ids[s], ids[t + (t >= s)], cost)
+            if path is not None and len(path) >= min_path_len:
+                out.append(path)
     if len(out) < K:
         raise ValueError(
             f"collected only {len(out)} of {K} paths within {budget} draws "

@@ -1,17 +1,11 @@
-"""Hot kernels: single-source Dijkstra and pairwise group overlap.
-
-Dijkstra is pure Python over per-node adjacency lists, because Python
-indexes a list several times faster than a numpy array. The overlap
-kernel sorts (member, group) pairs and counts the group pairs that share
-a member, so it never builds a group x member incidence matrix or runs a
-matrix product. :data:`BACKEND` names the implementation for run
-reports; it is always ``"numpy"``.
+"""Hot kernels in plain numpy: batched shortest-path trees and pairwise
+group overlap. The tree kernel builds many trees at once over a (sources x
+nodes) distance array. The overlap kernel counts the group pairs that share
+a member without a group x member incidence matrix. :data:`BACKEND` names
+the implementation for run reports; it is always ``"numpy"``.
 """
 
 from __future__ import annotations
-
-import heapq
-import math
 
 import numpy as np
 
@@ -25,50 +19,58 @@ BACKEND = "numpy"
 _PAIR_CHUNK_KEYS = 1 << 16
 
 
-def dijkstra_arrays(adj, source: int, target: int):
-    """Shortest paths from ``source`` over per-node adjacency lists.
+def dijkstra_arrays(src, dst, cost, n_nodes: int, sources):
+    """``(dist, pred_edge)``, each (sources x nodes), of the shortest-path
+    trees rooted at the node positions ``sources``: distances (inf where
+    unreachable) and tree edge rows (-1 at roots and where unreachable) by
+    :func:`ciarith.graph.dijkstra`'s tie rule. Edge row e runs from ``src[e]``
+    to ``dst[e]`` at ``cost[e] >= 0``. Each round relaxes the out-edges of
+    the (source, node) pairs improved in the last (Bellman-Ford) and keeps
+    each pair's least candidate by sorting keys. With costs >= 0 rounding is
+    monotone, so a distance is the left fold of the costs along a best path,
+    as a heap search finds it, bit for bit. A round or a tie-rule pass
+    gathers up to sources x edges cells."""
+    n, n_src, n_edges = n_nodes, len(sources), src.size
+    out_deg = np.bincount(src, minlength=n)
+    out_rows, out_first = np.argsort(src, kind="stable"), np.cumsum(out_deg) - out_deg
+    dist = np.full(n_src * n, np.inf)
+    frontier = np.arange(n_src) * n + sources  # flat (source, node) keys
+    dist[frontier] = 0.0
+    while frontier.size:
+        u = frontier % n
+        deg = out_deg[u]
+        ends = np.cumsum(deg)
+        e = out_rows[np.repeat(out_first[u] - ends + deg, deg) + np.arange(ends[-1])]
+        key = np.repeat(frontier - u, deg) + dst[e]
+        nd = np.repeat(dist[frontier], deg) + cost[e]
+        better = np.flatnonzero(nd < dist[key])
+        better = better[np.argsort(key[better])]
+        key, nd = key[better], nd[better]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        frontier = key[first]
+        dist[frontier] = np.minimum.reduceat(nd, first)
+    dist = dist.reshape(n_src, n)
 
-    ``adj[u]`` lists one ``(v, edge row, cost)`` per out-edge of node u.
-    Returns (dist, pred_node, pred_edge) as lists; pred_edge holds edge
-    rows, -1 where unset. Entries are final for every node settled before
-    the target was reached. The search stops when ``target`` is settled;
-    pass ``target=-1`` to run it to completion and get the full
-    shortest-path tree rooted at ``source``. A node's predecessor is fixed
-    once it is settled and the heap order does not depend on the target,
-    so the tree's path to any node equals the single-pair search's path to
-    it. Distance ties go to the lexicographically smallest (predecessor
-    node, edge) pair.
-    """
-    n = len(adj)
-    dist = [math.inf] * n
-    pred_node = [-1] * n
-    pred_edge = [-1] * n
-    done = [False] * n
-
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == target:
+    in_rows = np.lexsort((src, dst))  # stable: a node's first marked one is its least (u, e)
+    in_src, in_dst = src[in_rows], dst[in_rows]
+    first_in = np.flatnonzero(np.diff(in_dst, prepend=-1))
+    has_in = in_dst[first_in]
+    d_src, d_dst = dist[:, in_src], dist[:, in_dst]
+    tight = d_src + cost[in_rows] == d_dst
+    closer = tight & (d_src < d_dst)
+    tight &= d_src == d_dst  # zero-cost hops; only unset, so finite, nodes take them
+    pred = np.full((n_src, n), -1, np.int64)
+    unset = np.isfinite(dist)
+    unset[np.arange(n_src), sources] = False
+    while unset.any():  # pass k also settles the nodes k zero-cost hops on
+        marked = closer | tight & ~unset[:, in_src]
+        pos = np.minimum.reduceat(np.where(marked, np.arange(n_edges), n_edges), first_in, axis=1)
+        found = (pos < n_edges) & unset[:, has_in]
+        if not found.any():
             break
-        for v, e, c in adj[u]:
-            if done[v]:
-                continue
-            nd = d + c
-            if nd < dist[v]:
-                dist[v] = nd
-                pred_node[v] = u
-                pred_edge[v] = e
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and (
-                u < pred_node[v] or (u == pred_node[v] and e < pred_edge[v])
-            ):
-                pred_node[v] = u
-                pred_edge[v] = e
-    return dist, pred_node, pred_edge
+        pred[:, has_in] = np.where(found, in_rows[np.minimum(pos, n_edges - 1)], pred[:, has_in])
+        unset &= pred < 0
+    return dist, pred
 
 
 def pairwise_overlap_stats(offsets, members):

@@ -86,6 +86,25 @@ class TestGroupSampling:
         # every sampled group scores -1; interval is [0-(-1), 2+(-1)]
         assert (iv.lower, iv.upper) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, r"^rng_seed: 1\.5 is not an integer$"),
+        (True, r"^rng_seed: True is not an integer$"),
+        (-1, r"^rng_seed must be >= 0, got -1$"),
+    ])
+    @pytest.mark.parametrize("n_test", [0, 2])
+    def test_bad_seed_rejected_by_name(self, seed, message, n_test):
+        cal = self._cal(20, np.random.default_rng(13))
+        test = [mk(100 + i, pred=0.0) for i in range(n_test)]
+        with pytest.raises(ValueError, match=message):
+            group_sampling_predict(cal, test, 0.2, "split", rng_seed=seed)
+
+    def test_generator_seed_is_used_as_is(self):
+        cal = self._cal(30, np.random.default_rng(14))
+        test = [mk(100, pred=0.0), mk(101, pred=1.0)]
+        a = group_sampling_predict(cal, test, 0.2, "split", rng_seed=np.random.default_rng(6))
+        b = group_sampling_predict(cal, test, 0.2, "split", rng_seed=6)
+        assert (a.lower, a.upper) == (b.lower, b.upper)
+
 
 def _rngs(n):
     """One fresh generator per target, target t seeded with t."""

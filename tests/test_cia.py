@@ -80,6 +80,19 @@ class TestSymmetricSplit:
         with pytest.raises(ValueError, match="mode"):
             symmetric_split({1}, rng_seed=0, mode="thirds")
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, r"^rng_seed: 1\.5 is not an integer$"),
+        (True, r"^rng_seed: True is not an integer$"),
+        (-1, r"^rng_seed must be >= 0, got -1$"),
+    ])
+    def test_bad_seed_rejected_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            symmetric_split(range(10), rng_seed=seed)
+
+    def test_generator_seed_is_used_as_is(self):
+        assert symmetric_split(range(10), np.random.default_rng(4)) == symmetric_split(
+            range(10), 4)
+
 
 class TestSplitGroups:
     def test_intersections(self):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import re
@@ -225,6 +226,20 @@ class TestSamplePathGroups:
         with pytest.raises(ValueError, match=rf"^{field}: {kw[field]!r} is not an integer$"):
             sample_path_groups(self._grid(), rng_seed=1, **kw)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, r"^rng_seed: 1\.5 is not an integer$"),
+        (True, r"^rng_seed: True is not an integer$"),
+        (-1, r"^rng_seed must be >= 0, got -1$"),
+    ])
+    def test_bad_seed_rejected_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sample_path_groups(self._grid(), K=2, rng_seed=seed)
+
+    def test_generator_seed_is_used_as_is(self):
+        g = self._grid()
+        assert sample_path_groups(g, K=5, rng_seed=np.random.default_rng(8)) == (
+            sample_path_groups(g, K=5, rng_seed=8))
+
     @pytest.mark.parametrize("factor", [0, -1])
     def test_retry_factor_below_one_rejected_by_name(self, factor):
         # not "collected only 0 of 2 paths within 0 draws", which blames the graph
@@ -253,13 +268,50 @@ class TestSamplePathGroups:
         assert ig.members == frozenset(p.edge_ids)
 
 
+def heap_search(adj, source, target):
+    """Heap Dijkstra over ``adj[u]`` = [(v, edge row, cost), ...] that stops
+    once ``target`` is settled (``target=-1``: never). Returns (dist,
+    pred_node, pred_edge) as lists. Distance ties go to the smallest
+    (predecessor node, edge) pair among the nodes settled before."""
+    n = len(adj)
+    dist, pred_node, pred_edge = [math.inf] * n, [-1] * n, [-1] * n
+    done = [False] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue  # a stale entry: u was pushed again at a shorter distance
+        done[u] = True
+        if u == target:
+            break
+        for v, e, c in adj[u]:
+            if done[v]:
+                continue
+            nd = d + c
+            if nd < dist[v]:
+                dist[v], pred_node[v], pred_edge[v] = nd, u, e
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and (u, e) < (pred_node[v], pred_edge[v]):
+                pred_node[v], pred_edge[v] = u, e
+    return dist, pred_node, pred_edge
+
+
+def adjacency(graph, cost):
+    adj = [[] for _ in range(graph.n_nodes)]
+    for e, (u, v, c) in enumerate(zip(graph.src_pos.tolist(), graph.dst_pos.tolist(),
+                                       cost.tolist())):
+        adj[u].append((v, e, c))
+    return adj
+
+
 def early_exit_path(graph, source, target, cost=None):
-    """Single-pair search that stops once ``target`` is settled."""
+    """Single-pair heap search that stops once ``target`` is settled."""
     s, t = graph.node_position(source), graph.node_position(target)
     if s == t:
         return PathGroup(source=source, target=target, edge_ids=())
     cost = graph.costs if cost is None else np.asarray(cost, dtype=float)
-    dist, _, pred_edge = kernels.dijkstra_arrays(graph._adjacency(cost), s, t)
+    dist, _, pred_edge = heap_search(adjacency(graph, cost), s, t)
     if not np.isfinite(dist[t]):
         return None
     rows = []
@@ -270,8 +322,10 @@ def early_exit_path(graph, source, target, cost=None):
                      edge_ids=tuple(int(graph.edge_ids[r]) for r in reversed(rows)))
 
 
-def naive_sample_paths(graph, K, rng_seed, min_path_len=1, cost=None, retry_factor=100):
-    """sample_path_groups' draw loop with one early-exit search per draw."""
+def naive_sample_paths(graph, K, rng_seed, min_path_len=1, cost=None, retry_factor=100,
+                       drawn=None):
+    """sample_path_groups' draw loop with one early-exit search per draw;
+    each drawn (s, t) position pair is appended to ``drawn`` if given."""
     rng = np.random.default_rng(rng_seed)
     out = []
     n = graph.n_nodes
@@ -282,6 +336,8 @@ def naive_sample_paths(graph, K, rng_seed, min_path_len=1, cost=None, retry_fact
         t = int(rng.integers(n - 1))
         if t >= s:
             t += 1
+        if drawn is not None:
+            drawn.append((s, t))
         path = early_exit_path(graph, int(graph.node_ids[s]), int(graph.node_ids[t]), cost)
         if path is not None and len(path) >= min_path_len:
             out.append(path)
@@ -333,7 +389,7 @@ class TestShortestPathTrees:
             for _ in range(g.n_nodes):
                 for e in range(g.n_edges):
                     dist[dst[e]] = min(dist[dst[e]], dist[src[e]] + cost[e])
-            tree = g._shortest_path_tree(s, g.costs)
+            tree = g._build_trees([s], g.costs)[s]
             for v in range(g.n_nodes):
                 tight = [(src[e], e) for e in range(g.n_edges)
                          if dst[e] == v and dist[src[e]] + cost[e] == dist[v]]
@@ -341,7 +397,8 @@ class TestShortestPathTrees:
 
     def test_tree_mode_of_the_kernel_settles_every_reachable_node(self):
         g = tied_grid(5, 1)
-        dist, _, pred_edge = kernels.dijkstra_arrays(g._adjacency(g.costs), 7, -1)
+        (dist,), (pred_edge,) = kernels.dijkstra_arrays(
+            g.src_pos, g.dst_pos, g.costs, g.n_nodes, [7])
         assert np.all(np.isfinite(dist))
         assert pred_edge[7] == -1 and np.all(np.delete(pred_edge, 7) >= 0)
 
@@ -373,10 +430,41 @@ class TestShortestPathTrees:
         monkeypatch.setattr(graph_module, "_TREE_CACHE_BYTES", 3 * 4 * g.n_nodes)
         got = sample_path_groups(g, K=30, rng_seed=2)
         assert got == naive_sample_paths(g, 30, 2)
-        assert len(g._trees[2]) == 3
+        assert len(g._trees[1]) == 3
         for s in range(6):
-            g._shortest_path_tree(s, g.costs)
-        assert list(g._trees[2]) == [3, 4, 5]
+            g._build_trees([s], g.costs)
+        assert list(g._trees[1]) == [3, 4, 5]
+
+    def test_tracer_contract(self, monkeypatch):
+        # bench/tracer.py wraps kernels.dijkstra_arrays and graph.dijkstra by
+        # name: it counts a path draw per dijkstra call under
+        # sample_path_groups, and labeled nodes as the finite entries of the
+        # kernel's first result. The graph module must look both names up at
+        # call time for the wrappers to see every call.
+        assert callable(kernels.dijkstra_arrays)
+        assert not hasattr(graph_module, "dijkstra_arrays")
+        kernel, search = kernels.dijkstra_arrays, graph_module.dijkstra
+        batches, draws = [], []
+
+        def traced_kernel(src, dst, cost, n_nodes, sources):
+            result = kernel(src, dst, cost, n_nodes, sources)
+            batches.append((len(sources), result[0].shape, np.isfinite(result[0]).sum()))
+            return result
+
+        monkeypatch.setattr(kernels, "dijkstra_arrays", traced_kernel)
+        monkeypatch.setattr(graph_module, "dijkstra", lambda *a: draws.append(a) or search(*a))
+        g = tied_grid(6, 7)
+        drawn = []
+        got = sample_path_groups(g, K=20, rng_seed=3, min_path_len=6)
+        assert got == naive_sample_paths(g, 20, 3, 6, drawn=drawn)
+        assert len(draws) == len(drawn) > len(got)  # once per draw, rejected ones too
+        assert [a[1:3] for a in draws] == [(int(g.node_ids[s]), int(g.node_ids[t]))
+                                           for s, t in drawn]
+        assert all(shape == (n, g.n_nodes) for n, shape, _ in batches)
+        # one tree per distinct source, every node reachable on the grid
+        n_sources = len({s for s, _ in drawn})
+        assert sum(n for n, _, _ in batches) == n_sources > len(batches)
+        assert sum(labeled for _, _, labeled in batches) == n_sources * g.n_nodes
 
     def test_costs_are_validated_once_per_call_not_per_draw(self, monkeypatch):
         g = tied_grid(5, 6)
@@ -387,11 +475,11 @@ class TestShortestPathTrees:
                             lambda *a: validations.append(1) or validate(*a))
         sample_path_groups(g, K=10, rng_seed=1, cost_fn=custom)
         assert len(validations) == 1
-        cached, adj, trees = g._trees
+        cached, trees = g._trees
         assert cached is not custom and np.array_equal(cached, custom)
         assert not cached.flags.writeable
-        again, again_adj, again_trees = g._tree_cache(custom.copy())
-        assert again is cached and again_adj is adj and again_trees is trees
+        again, again_trees = g._tree_cache(custom.copy())
+        assert again is cached and again_trees is trees
 
 
 class TestEdgeListIO:

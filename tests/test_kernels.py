@@ -1,10 +1,11 @@
+import math
 import subprocess
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ciarith import kernels
@@ -13,11 +14,18 @@ from ciarith.core import group_csr
 from conftest import child_env
 
 
+def edge_arrays(*edges):
+    """(src, dst, cost) arrays of (u, v, cost) edges, one row each in order."""
+    table = np.array(edges, dtype=float).reshape(len(edges), 3)
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
+
+
 def test_kernels_on_hand_computed_inputs():
     assert kernels.BACKEND == "numpy"
-    adj = [[(1, 0, 1.0)], [(2, 1, 2.0)], []]
-    dist, pred_node, pred_edge = kernels.dijkstra_arrays(adj, 0, 2)
-    assert dist[2] == 3.0 and pred_node[2] == 1 and pred_edge[2] == 1
+    src, dst, cost = edge_arrays((0, 1, 1.0), (1, 2, 2.0))
+    dist, pred_edge = kernels.dijkstra_arrays(src, dst, cost, 3, [0])
+    assert dist.shape == pred_edge.shape == (1, 3)
+    assert dist[0, 2] == 3.0 and src[pred_edge[0, 2]] == 1 and pred_edge[0, 2] == 1
     offsets = np.array([0, 2, 4], dtype=np.int64)
     members = np.array([1, 2, 2, 3], dtype=np.int64)
     counts, jac = kernels.pairwise_overlap_stats(offsets, members)
@@ -25,12 +33,76 @@ def test_kernels_on_hand_computed_inputs():
 
 
 def test_dijkstra_kernel_handles_stale_heap_entries():
-    # node 1 is first pushed at distance 5 (direct), then improved to 2 via
-    # node 2; the stale 5-entry must be skipped when popped
-    adj = [[(1, 0, 5.0), (2, 1, 1.0)], [(3, 2, 1.0)], [(1, 3, 1.0)], []]
-    dist, pred_node, _ = kernels.dijkstra_arrays(adj, 0, 3)
-    assert dist[1] == 2.0 and pred_node[1] == 2
+    # node 1 is first reached at distance 5 (direct), then improved to 2 via
+    # node 2; the improvement must replace the first label and its edge
+    src, dst, cost = edge_arrays((0, 1, 5.0), (0, 2, 1.0), (1, 3, 1.0), (2, 1, 1.0))
+    (dist,), (pred_edge,) = kernels.dijkstra_arrays(src, dst, cost, 4, [0])
+    assert dist[1] == 2.0 and src[pred_edge[1]] == 2
     assert dist[3] == 3.0
+
+
+def test_zero_cost_ties_go_to_fewer_hops():
+    # nodes 3, 1 and 2 all sit at distance 1. Node 2's tight in-edges come
+    # from 1 (edge 2) and from 3 (edge 3); 3 has a strictly closer
+    # predecessor and 1 is one zero-cost hop past it, so 3 wins, although
+    # (1, 2) is the smaller pair, which a heap search would pick here
+    src, dst, cost = edge_arrays((0, 3, 1.0), (3, 1, 0.0), (1, 2, 0.0), (3, 2, 0.0))
+    (dist,), (pred_edge,) = kernels.dijkstra_arrays(src, dst, cost, 4, [0])
+    assert dist.tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert pred_edge.tolist() == [-1, 1, 3, 0]
+
+
+def bellman_ford(n, edges, source):
+    """Distances from ``source`` over (u, v, cost) edges, as Python floats."""
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    for _ in range(n):
+        for u, v, c in edges:
+            dist[v] = min(dist[v], dist[u] + c)
+    return dist
+
+
+@st.composite
+def zero_cost_graphs(draw):
+    """Up to 7 nodes; edges may repeat, loop, or cost 0, and sums of the
+    costs round (0.1 + 0.2 != 0.3). Sparse draws leave nodes unreachable."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    cost = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0])
+    return n, draw(st.lists(st.tuples(node, node, cost), max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_cost_graphs())
+@example((3, [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.0), (2, 1, 0.0)]))  # a zero-cost cycle
+@example((4, [(0, 1, 1.0), (0, 1, 1.0), (2, 3, 0.0)]))  # parallel; 2, 3 unreachable
+def test_trees_against_bellman_ford(graph):
+    n, edges = graph
+    src, dst, cost = edge_arrays(*edges)
+    dist, pred_edge = kernels.dijkstra_arrays(src, dst, cost, n, list(range(n)))
+    assert dist.shape == pred_edge.shape == (n, n)
+    positive = all(c > 0 for _, _, c in edges)
+    for s in range(n):
+        want = bellman_ford(n, edges, s)
+        assert dist[s].tolist() == want  # bit for bit, inf where unreachable
+        for v in range(n):
+            if v == s or want[v] == math.inf:
+                assert pred_edge[s, v] == -1
+                continue
+            path, at = [], v
+            while at != s and len(path) < n:
+                path.append(int(pred_edge[s, at]))
+                assert path[-1] >= 0 and dst[path[-1]] == at
+                at = int(src[path[-1]])
+            assert at == s, "the predecessor walk must reach the root in < n hops"
+            total = 0.0
+            for e in reversed(path):
+                total += cost[e]
+            assert total == want[v]
+            if positive:
+                tight = [(u, e) for e, (u, w, c) in enumerate(edges)
+                         if w == v and want[u] + c == want[v]]
+                assert pred_edge[s, v] == min(tight)[1]
 
 
 def test_overlap_kernel_empty_groups_edge_case():
@@ -173,3 +245,46 @@ def test_overlap_kernel_peak_memory_stays_within_budget(case):
     scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
     peak_mb = int(proc.stdout.split()[-1]) * scale / 2**20
     assert peak_mb < MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
+
+
+# ru_maxrss budget of a child that builds every shortest-path tree of a
+# 40 x 40 grid (1,600 nodes, 6,240 edges). In one kernel call, the (sources
+# x edges) temporaries of all 1,600 sources come to about 10M cells, and the
+# child peaked near 380 MB; in blocks of _TREE_BLOCK_CELLS it peaked near
+# 70 MB, 10 MB of which are the cached trees.
+TREE_MEMORY_BUDGET_MB = 150
+
+_TREE_PROBE = """
+import resource
+
+import numpy as np
+
+from ciarith import graph
+
+k = 40
+rng = np.random.default_rng(0)
+edges = []
+for r in range(k):
+    for c in range(k):
+        for rr, cc in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+            if 0 <= rr < k and 0 <= cc < k:
+                cost = float(rng.uniform(0.5, 2.0))
+                edges.append(graph.Edge(len(edges), r * k + c, rr * k + cc, cost))
+g = graph.WeightedGraph(nodes=range(k * k), edges=edges)
+assert g.n_nodes * g.n_edges > 30 * graph._TREE_BLOCK_CELLS
+trees = g._build_trees(range(g.n_nodes), g.costs)
+assert len(trees) == g.n_nodes
+assert len(graph.dijkstra(g, 0, k * k - 1)) >= 2 * (k - 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_batched_trees_peak_memory_stays_within_budget():
+    proc = subprocess.run(
+        [sys.executable, "-c", _TREE_PROBE], env=child_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
+    peak_mb = int(proc.stdout.split()[-1]) * scale / 2**20
+    assert peak_mb < TREE_MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
