@@ -16,6 +16,8 @@ score kind, gather their records' fields with
 :func:`~ciarith.core.extract_column` (by position for a
 :meth:`SampleSet.subset <ciarith.core.SampleSet.subset>`), run the core
 for one target and wrap the result in an :class:`IntervalPrediction`.
+After those checks an empty test side gives [0, 0], the exact sum of no
+labels, the rule of every record-level predictor.
 
 Group sampling draws each target's calibration groups from that target's
 own generator. The harness hands the core every target of a split at

@@ -20,12 +20,14 @@ width). The record adapters (:func:`cia_predict`,
 :func:`stratified_cia_predict`) gather the fields of the calibration and
 test members with :func:`~ciarith.core.columns_at`, by position from a
 :class:`~ciarith.core.SampleSet`'s columns, run the engine for one
-target, and wrap the result in an :class:`IntervalPrediction`. A split's
-pool is scored once: a ``SampleSet`` keeps its last pool per score kind
-and reuses it while the views passed are the same objects in the same
-order (an ``is`` test per view), so each further target of that split
-pays only its own test-side sum and threshold. A plain mapping is
-rescored on every call.
+target, and wrap the result in an :class:`IntervalPrediction`. As with
+every record-level predictor, a target whose test side is empty gets
+[0, 0], the exact sum of no labels, once alpha is checked and the target
+found among the views. A split's pool is scored once: a ``SampleSet``
+keeps its last pool per score kind and reuses it while the views passed
+are the same objects in the same order (an ``is`` test per view), so
+each further target of that split pays only its own test-side sum and
+threshold. A plain mapping is rescored on every call.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .core import (
     LabeledSample,
     SampleSet,
     SplitAssignment,
+    _check_group,
+    _index_array,
     _integer,
     _prediction,
     _rng,
@@ -184,7 +188,7 @@ def symmetric_split(
     ``balanced`` draws a uniform partition into halves of size ceil(n/2)
     (calibration) and floor(n/2). Deterministic for a fixed seed.
     """
-    idx = np.array(sorted(set(universe)), dtype=np.int64)
+    idx = np.unique(_index_array("universe index", universe))
     if idx.size == 0:
         raise ValueError("universe must be non-empty")
     rng = _rng(rng_seed)
@@ -219,6 +223,7 @@ def split_groups(
     views = []
     universe = assignment.universe
     for g in groups:
+        _check_group(g)
         outside = g.members - universe
         if outside:
             raise ValueError(
@@ -245,6 +250,7 @@ def restrict_groups(
     uni = frozenset(universe)
     out = []
     for g in groups:
+        _check_group(g)
         kept = g.members & uni
         if kept:
             out.append(IndexGroup(group_id=g.group_id, members=kept))
@@ -354,7 +360,10 @@ def cia_predict(
     ``split`` kind the interval is the predicted test sum plus/minus the
     threshold; with ``cqr`` the threshold pads the summed quantile band.
     """
+    check_alpha(alpha)
     pool, t, sums = _record_pool(views, samples, target_group, score_kind)
+    if not views[t].test_members:  # the sum over an empty test side is exactly 0
+        return _prediction(target_group, alpha, [0.0], [0.0])
     q = loo_thresholds(pool.scores, alpha, [t])
     return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
 
@@ -376,7 +385,10 @@ def stratified_cia_predict(
     unstratified engine). The default strata are cut from the other
     groups' calibration sizes.
     """
+    check_alpha(alpha)
     pool, t, sums = _record_pool(views, samples, target_group, score_kind)
+    if not views[t].test_members:  # the sum over an empty test side is exactly 0
+        return _prediction(target_group, alpha, [0.0], [0.0])
     if strata is None:  # the other sizes are the pool's minus one copy of the own size
         own = int(pool.sizes[t])
         if own not in pool.strata:

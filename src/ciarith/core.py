@@ -172,7 +172,7 @@ class _SampleColumns:
     @classmethod
     def build(cls, samples: Iterable[LabeledSample]) -> "_SampleColumns":
         records = tuple(samples)
-        index = np.fromiter((s.index for s in records), dtype=np.int64, count=len(records))
+        index = _index_array("sample index", (s.index for s in records))
         raw = [list(map(operator.attrgetter(fld), records)) for fld in _SUM_FIELDS]
         present = np.array([[v is not None for v in vals] for vals in raw], dtype=bool)
         values = np.array([[math.nan if v is None else v for v in vals] for vals in raw],
@@ -336,6 +336,9 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+_PLAIN_INT = frozenset({int})
+
+
 def _integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int: the one rule for every size, count, seed and id.
     A bool, or a value ``operator.index`` refuses (a float, even a whole
@@ -351,6 +354,24 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _index_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array, each under :func:`_integer`'s rule, so a
+    float or a bool is an error and never truncated. Plain ints cost one
+    scan of their types."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not _PLAIN_INT.issuperset(map(type, values)):
+        values = [_integer(name, v) for v in values]
+    return np.array(values, dtype=np.int64)
+
+
+def _check_group(group: IndexGroup) -> None:
+    """:func:`_integer`'s rule on a group's id and each of its members."""
+    _integer("group_id", group.group_id)
+    if not _PLAIN_INT.issuperset(map(type, group.members)):
+        for m in group.members:
+            _integer(f"group {group.group_id} member", m)
 
 
 def _rng(rng_seed) -> np.random.Generator:
@@ -460,7 +481,7 @@ def group_sum(samples: Sequence[LabeledSample], fld: str) -> float:
 
 def group_csr(member_lists: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, members): group g's members are members[offsets[g]:offsets[g + 1]]."""
-    chunks = [np.asarray(m, dtype=np.int64) for m in member_lists]
+    chunks = [_index_array("group member", m) for m in member_lists]
     members = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     return csr_offsets([c.size for c in chunks]), members
 

@@ -480,40 +480,39 @@ class _RepOutcome:
     n_infinite: int
 
 
-def _fit_and_predict(features, labels, train_pos, universe, config, kind, k_neighbors):
-    """Point predictions from a ``kind`` model and kNN bands, on the universe.
+def _fit_and_predict(features, labels, train_pos, universe, config):
+    """Point predictions and quantile bands on the universe, one rule per input.
 
-    One neighbour selection per fit: the k nearest training rows of the
-    universe are selected once and their labels sorted once. Every α's
-    (α/2, 1−α/2) band and the (0.25, 0.75) IQR are columns of that matrix,
-    read by ``predict_quantiles``' own index rule. A ``knn`` point model is
-    the quantile model itself, so it is fit once and its point predictions
-    are the means of the same selection.
+    With features: a least-squares point model, and bands from one kNN
+    selection per fit (the k nearest training rows of each universe row,
+    selected once, their labels sorted once). Without them (``features``
+    is None, a graph with no edge features) every training row is a
+    neighbour: the point prediction is the mean of the training labels in
+    training-row order, and the bands are order statistics of the sorted
+    training labels. Every α's (α/2, 1−α/2) band and the (0.25, 0.75) IQR
+    are read by :func:`~ciarith.models.quantile_index`.
     """
-    X, y, Q = features[train_pos], labels[train_pos], features[universe]
-    model = fit_arrays(X, y, kind, k_neighbors=k_neighbors)
+    y = labels[train_pos]
     need_cqr = bool(_CQR_METHODS & set(config.methods))
     need_hetero = "normal_hetero" in config.methods
-    near = None
-    if kind == "knn" or need_cqr or need_hetero:
-        qmodel = model if kind == "knn" else fit_arrays(X, y, "knn", k_neighbors=k_neighbors)
-        near = neighbor_labels(qmodel, Q)
     y_hat = np.full(labels.size, np.nan)
-    y_hat[universe] = near.mean(axis=1) if kind == "knn" else predict_point(model, Q)
-    quant: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    sigma_iqr = None
-    if need_cqr or need_hetero:
-        ranked = np.sort(near, axis=1)
+    if features is None:
+        y_hat[universe] = y.mean()
+        ranked = np.sort(y)
+    else:
+        X, Q = features[train_pos], features[universe]
+        y_hat[universe] = predict_point(fit_arrays(X, y, "linear_ls"), Q)
+        if need_cqr or need_hetero:
+            knn = fit_arrays(X, y, "knn", k_neighbors=config.knn_k)
+            ranked = np.sort(neighbor_labels(knn, Q), axis=1)
 
-        def column(level):
-            out = np.full(labels.size, np.nan)
-            out[universe] = ranked[:, quantile_index(ranked.shape[1], level)]
-            return out
+    def column(level):  # the level's order statistic of each universe row
+        out = np.full(labels.size, np.nan)
+        out[universe] = ranked[..., quantile_index(ranked.shape[-1], level)]
+        return out
 
-        if need_cqr:
-            quant = {a: (column(a / 2), column(1 - a / 2)) for a in config.alphas}
-        if need_hetero:
-            sigma_iqr = baselines.iqr_sigma(column(0.25), column(0.75))
+    quant = {a: (column(a / 2), column(1 - a / 2)) for a in config.alphas} if need_cqr else {}
+    sigma_iqr = baselines.iqr_sigma(column(0.25), column(0.75)) if need_hetero else None
     return y_hat, quant, sigma_iqr
 
 
@@ -721,8 +720,7 @@ def _run_session(session: _Session):
 def _prepare_tabular(dataset: TabularDataset, groups, config) -> _Prep:
     train_pos, universe = _train_universe(dataset.n_rows, config)
     y_hat, quant, sigma = _fit_and_predict(
-        dataset.features, dataset.labels, train_pos, universe, config, "linear_ls",
-        config.knn_k,
+        dataset.features, dataset.labels, train_pos, universe, config
     )
     kept = restrict_groups(groups, universe.tolist())
     return _Prep(
@@ -739,15 +737,7 @@ def _prepare_graph(graph: WeightedGraph, config) -> _Prep:
             f"{int(np.isnan(labels).sum())} edges are unlabeled"
         )
     train_pos, universe = _train_universe(graph.n_edges, config)
-    features, kind, k = graph.features, "linear_ls", config.knn_k
-    if features is None:
-        # no edge features: every training edge is a neighbour, so the point
-        # prediction is the training mean and the bands are order
-        # statistics of all training labels
-        features, kind, k = np.zeros((graph.n_edges, 1)), "knn", train_pos.size
-    y_hat, quant, sigma = _fit_and_predict(
-        features, labels, train_pos, universe, config, kind, k
-    )
+    y_hat, quant, sigma = _fit_and_predict(graph.features, labels, train_pos, universe, config)
     cost = labels.copy()
     clipped = int(np.sum(y_hat[universe] < 0))
     if clipped:

@@ -69,7 +69,8 @@ class PathGroup:
 
 class WeightedGraph:
     """Immutable directed graph with non-negative edge costs; it caches the
-    shortest-path trees behind :func:`dijkstra` for one cost array at a time."""
+    shortest-path trees behind :func:`dijkstra` for one cost array at a time.
+    :meth:`_trees_for` is the one way to the costs and their trees."""
 
     def __init__(self, nodes: Iterable[int], edges: Sequence[Edge]):
         self.node_ids = np.array(sorted({_integer("node", n) for n in nodes}), dtype=np.int64)
@@ -143,26 +144,25 @@ class WeightedGraph:
         except KeyError:
             raise ValueError(f"unknown edge {edge_id}") from None
 
-    def _tree_cache(self, cost: np.ndarray):
-        """(read-only copy of ``cost``, its cached trees by source position).
+    def _trees_for(self, cost_fn, sources=()) -> tuple[np.ndarray, OrderedDict[int, array]]:
+        """(read-only copy of the costs, their cached trees by source position).
 
-        ``cost`` is a validated array in edge-row order. Trees are cached
-        for one cost array at a time, so costs that differ from the cached
-        ones drop every tree. Passing the returned copy back skips both the
-        comparison and the validation in :func:`dijkstra`.
+        ``cost_fn`` is what :func:`dijkstra` takes, checked by ``_cost_array``
+        unless it is the copy returned here before. Trees are cached for one
+        cost array at a time, so costs that differ from the cached ones drop
+        every tree. The trees rooted at the node positions ``sources`` are
+        added as far as they fit, in kernel calls of at most
+        :data:`_TREE_BLOCK_CELLS` (sources x edges) cells.
         """
-        entry = self._trees
-        if entry[0] is None or not (cost is entry[0] or np.array_equal(cost, entry[0])):
-            copy = np.array(cost, dtype=float)
-            copy.flags.writeable = False
-            self._trees = entry = (copy, OrderedDict())
-        return entry
-
-    def _build_trees(self, sources, cost: np.ndarray) -> OrderedDict[int, array]:
-        """The trees of :meth:`_tree_cache`, with those rooted at the node
-        positions ``sources`` added as far as they fit, in kernel calls of at
-        most :data:`_TREE_BLOCK_CELLS` (sources x edges) cells."""
-        cost, trees = self._tree_cache(cost)
+        cost, trees = self._trees
+        if cost_fn is None or cost_fn is not cost:
+            new = _cost_array(self, cost_fn)
+            if cost is None or not np.array_equal(new, cost):
+                cost, trees = np.array(new, dtype=float), OrderedDict()
+                cost.flags.writeable = False
+                self._trees = (cost, trees)
+        if not sources:
+            return cost, trees
         capacity = max(1, _TREE_CACHE_BYTES // (4 * self.n_nodes))
         missing = [s for s in dict.fromkeys(sources) if s not in trees][:capacity]
         step = max(1, _TREE_BLOCK_CELLS // max(1, self.n_edges))
@@ -174,7 +174,7 @@ class WeightedGraph:
                 if len(trees) >= capacity:
                     trees.popitem(last=False)
                 trees[s] = array("i", row.tobytes())
-        return trees
+        return cost, trees
 
     def validate_path(self, path: PathGroup) -> None:
         """Check the chaining invariant; raises ValueError when broken."""
@@ -240,11 +240,10 @@ def dijkstra(
     """
     s = graph.node_position(source)
     t = graph.node_position(target)
-    own = cost_fn is not None and cost_fn is graph._trees[0]  # validated when copied
-    cost = cost_fn if own else _cost_array(graph, cost_fn)
+    cost, trees = graph._trees_for(cost_fn)
     if s == t:
         return PathGroup(source=source, target=target, edge_ids=())
-    pred_edge = graph._tree_cache(cost)[1].get(s) or graph._build_trees([s], cost)[s]
+    pred_edge = trees.get(s) or graph._trees_for(cost, (s,))[1][s]
     if pred_edge[t] < 0:
         return None
     edges, node_pos = graph.edges, graph._node_pos
@@ -287,7 +286,7 @@ def sample_path_groups(
     retry_factor = _integer("retry_factor", retry_factor, 1)
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample paths")
-    cost = graph._tree_cache(_cost_array(graph, cost_fn))[0]
+    cost = graph._trees_for(cost_fn)[0]
     rng = _rng(rng_seed)
     budget = retry_factor * K
     out: list[PathGroup] = []
@@ -296,7 +295,7 @@ def sample_path_groups(
         pairs = [(int(rng.integers(n)), int(rng.integers(n - 1)))
                  for _ in range(min(K - len(out), budget - drawn))]
         drawn += len(pairs)
-        graph._build_trees([s for s, _ in pairs], cost)
+        graph._trees_for(cost, [s for s, _ in pairs])
         for s, t in pairs:  # t is drawn from the n - 1 nodes other than s
             path = dijkstra(graph, ids[s], ids[t + (t >= s)], cost)
             if path is not None and len(path) >= min_path_len:

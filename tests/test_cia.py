@@ -89,6 +89,14 @@ class TestSymmetricSplit:
         with pytest.raises(ValueError, match=message):
             symmetric_split(range(10), rng_seed=seed)
 
+    @pytest.mark.parametrize("universe, shown", [
+        ([0.5, 1.5, 2.5], "0.5"), ([0, 1, 2.0], "2.0"), ([True, 2, 3], "True"),
+        (np.array([0.5, 1.5]), "0.5"),
+    ])
+    def test_non_integer_index_rejected(self, universe, shown):
+        with pytest.raises(ValueError, match=f"^universe index: {shown} is not an integer$"):
+            symmetric_split(universe, 0)
+
     def test_generator_seed_is_used_as_is(self):
         assert symmetric_split(range(10), np.random.default_rng(4)) == symmetric_split(
             range(10), 4)
@@ -132,6 +140,23 @@ class TestSplitGroups:
         groups = [IndexGroup(0, frozenset({1, 9})), IndexGroup(1, frozenset({9}))]
         kept = restrict_groups(groups, {1, 2})
         assert len(kept) == 1 and kept[0].members == {1}
+
+    @pytest.mark.parametrize("group, message", [
+        (IndexGroup(2.5, frozenset({1.5})), "group_id: 2.5 is not an integer"),
+        (IndexGroup(2, frozenset({1, 1.5})), "group 2 member: 1.5 is not an integer"),
+        (IndexGroup(2, frozenset({2.0})), "group 2 member: 2.0 is not an integer"),
+        (IndexGroup(2, frozenset({True})), "group 2 member: True is not an integer"),
+    ])
+    def test_non_integer_group_id_or_member_rejected(self, group, message):
+        # restrict_groups would drop member 1.5 silently, and a float member
+        # equal to an index would pass the split
+        assignment = SplitAssignment(cal=frozenset({0, 1}), test=frozenset({2}))
+        for call in (lambda: restrict_groups([group], {0, 1, 2}),
+                     lambda: split_groups([group], assignment)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        with pytest.raises(ValueError, match=r"^group member: .* is not an integer$"):
+            group_csr([sorted(group.members, key=float)])
 
     def test_view_sides_must_be_disjoint(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -246,7 +271,8 @@ class TestCiaPredict:
                 for v in views
                 if v.group_id != 0
             ]
-            q = score_threshold(pool, 0.3).value
+            # an empty test side sums to exactly 0, so its interval is [0, 0]
+            q = score_threshold(pool, 0.3).value if target.test_members else 0.0
             assert iv.lower == pred_sum - q and iv.upper == pred_sum + q
             if math.isfinite(q):
                 assert 0.5 * (iv.lower + iv.upper) == pytest.approx(pred_sum, abs=1e-9)
@@ -486,10 +512,23 @@ class TestStratifiedPredict:
         )
         assert iv.lower == -math.inf and iv.upper == math.inf
 
-    def test_strat_needs_non_empty_test_side(self):
+    @pytest.mark.parametrize("predict, kwargs", [
+        (cia_predict, {}),
+        (stratified_cia_predict, {}),
+        (stratified_cia_predict, {"strata": StrataSpec(())}),
+    ])
+    def test_empty_test_side_gives_zero_after_the_checks(self, predict, kwargs):
+        # group 1 has no test side, so its test-side sum is exactly 0; at
+        # alpha 0.1 the two-group pool is too thin for a finite threshold
         views, ss = self._make(cal_sizes=[2, 2], test_size=1)
-        with pytest.raises(ValueError, match="non-empty test side"):
-            stratified_cia_predict(views, ss, 1, alpha=0.5, strata=StrataSpec(()))
+        iv = predict(views, ss, 1, alpha=0.1, **kwargs)
+        assert (iv.lower, iv.upper) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            predict(views, ss, 1, alpha=1.5, **kwargs)
+        with pytest.raises(ValueError, match="target group 7 not found"):
+            predict(views, ss, 7, alpha=0.1, **kwargs)
+        with pytest.raises(ValueError, match="target group 1 appears 2 times"):
+            predict([*views, GroupSplitView(1, (), ())], ss, 1, alpha=0.1, **kwargs)
 
 
 def _record_split(seed=5, n=400, n_groups=50):
@@ -560,8 +599,8 @@ class TestRecordPoolMemo:
                     assert got == _outcome(predict, views, by_index, *args, **kwargs)
                     assert got == _outcome(predict, views, SampleSet(records), *args, **kwargs)
                     bounded += isinstance(got, tuple)
-        # only the stratified calls on an empty test side fail
-        assert bounded == 6 * len(views) - 4 * sum(v.test_size == 0 for v in views)
+        # every call is bounded, an empty test side by [0, 0]
+        assert bounded == 6 * len(views)
 
     def test_other_views_or_samples_are_rescored(self):
         views, records = _record_split()

@@ -379,6 +379,15 @@ class TestColumnarSampleSet:
                 ss.subset([bad])
         assert ss.column([3.0], "label").tolist() == [1.0]  # equal to 3, as in a dict
 
+    @pytest.mark.parametrize("index, shown", [(1.5, "1.5"), (True, "True"), (2.0, "2.0")])
+    def test_stored_index_must_be_an_integer(self, index, shown):
+        # checked when the columns are built, never truncated to another index
+        ss = SampleSet([LabeledSample(index, label=7.0), LabeledSample(3, label=1.0)])
+        with pytest.raises(ValueError, match=f"^sample index: {shown} is not an integer$"):
+            ss.column([1], "label")
+        with pytest.raises(ValueError, match=f"^sample index: {shown} is not an integer$"):
+            extract_column(list(ss), "label")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_names_sample_and_field(self, bad):
         ss = SampleSet([LabeledSample(3, label=1.0), LabeledSample(5, label=bad)])

@@ -389,7 +389,7 @@ class TestShortestPathTrees:
             for _ in range(g.n_nodes):
                 for e in range(g.n_edges):
                     dist[dst[e]] = min(dist[dst[e]], dist[src[e]] + cost[e])
-            tree = g._build_trees([s], g.costs)[s]
+            tree = g._trees_for(g.costs, [s])[1][s]
             for v in range(g.n_nodes):
                 tight = [(src[e], e) for e in range(g.n_edges)
                          if dst[e] == v and dist[src[e]] + cost[e] == dist[v]]
@@ -432,7 +432,7 @@ class TestShortestPathTrees:
         assert got == naive_sample_paths(g, 30, 2)
         assert len(g._trees[1]) == 3
         for s in range(6):
-            g._build_trees([s], g.costs)
+            g._trees_for(g.costs, [s])
         assert list(g._trees[1]) == [3, 4, 5]
 
     def test_tracer_contract(self, monkeypatch):
@@ -478,7 +478,7 @@ class TestShortestPathTrees:
         cached, trees = g._trees
         assert cached is not custom and np.array_equal(cached, custom)
         assert not cached.flags.writeable
-        again, again_trees = g._tree_cache(custom.copy())
+        again, again_trees = g._trees_for(custom.copy())
         assert again is cached and again_trees is trees
 
 

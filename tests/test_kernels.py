@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -188,8 +189,22 @@ def test_repeated_member_in_a_group_fails_naming_it(groups, group, member):
 
 
 # ---------------------------------------------------------------------------
-# Memory gate: the kernel's peak must not grow with the number of members
+# Memory gates: the kernel's peak must not grow with the number of members
 # ---------------------------------------------------------------------------
+
+
+def child_peak_mb(script: str, *args: str) -> float:
+    """Peak resident MB of a child running ``script``, which prints its own
+    ``ru_maxrss`` last. The child reports its own peak (RUSAGE_SELF);
+    RUSAGE_CHILDREN here would keep the largest peak of any earlier child
+    of this test process. One child runs at a time."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=child_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
+    return int(proc.stdout.split()[-1]) * scale / 2**20
 
 # ru_maxrss budget of a child that imports numpy and ciarith, builds the
 # groups and runs the kernel once. The interpreter with numpy alone sits near
@@ -235,15 +250,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 @pytest.mark.parametrize("case", ["wide", "one_member_in_every_group"])
 def test_overlap_kernel_peak_memory_stays_within_budget(case):
-    # the child reports its own peak (RUSAGE_SELF); RUSAGE_CHILDREN here would
-    # keep the largest peak of any earlier child of this test process
-    proc = subprocess.run(
-        [sys.executable, "-c", _MEMORY_PROBE, case], env=child_env(),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
-    peak_mb = int(proc.stdout.split()[-1]) * scale / 2**20
+    peak_mb = child_peak_mb(_MEMORY_PROBE, case)
     assert peak_mb < MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
 
 
@@ -272,7 +279,7 @@ for r in range(k):
                 edges.append(graph.Edge(len(edges), r * k + c, rr * k + cc, cost))
 g = graph.WeightedGraph(nodes=range(k * k), edges=edges)
 assert g.n_nodes * g.n_edges > 30 * graph._TREE_BLOCK_CELLS
-trees = g._build_trees(range(g.n_nodes), g.costs)
+trees = g._trees_for(g.costs, range(g.n_nodes))[1]
 assert len(trees) == g.n_nodes
 assert len(graph.dijkstra(g, 0, k * k - 1)) >= 2 * (k - 1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
@@ -280,11 +287,38 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def test_batched_trees_peak_memory_stays_within_budget():
-    proc = subprocess.run(
-        [sys.executable, "-c", _TREE_PROBE], env=child_env(),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
-    peak_mb = int(proc.stdout.split()[-1]) * scale / 2**20
+    peak_mb = child_peak_mb(_TREE_PROBE)
     assert peak_mb < TREE_MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
+
+
+# ru_maxrss budget of a child that fits and predicts a featureless 40 x 40
+# grid (6,240 edges) as the path-cost harness does. Reading the training
+# mean and order statistics through a kNN over a zero column, with k = every
+# training edge, built (universe x training) float64 arrays and peaked near
+# 250 MB; read from the training labels directly it peaks near 50 MB.
+FEATURELESS_MEMORY_BUDGET_MB = 150
+
+_FEATURELESS_PROBE = """
+import resource
+import sys
+from dataclasses import replace
+
+sys.path.insert(0, sys.argv[1])
+from conftest import make_grid_graph
+
+from ciarith.experiments import METHOD_IDS, ExperimentConfig, _prepare_graph
+from ciarith.graph import WeightedGraph
+
+base = make_grid_graph(40)
+g = WeightedGraph(nodes=base.node_ids.tolist(),
+                  edges=[replace(e, features=None) for e in base.edges])
+assert g.features is None and g.n_edges == 6240
+prep = _prepare_graph(g, ExperimentConfig(alphas=(0.1,), reps=1, seed=0, methods=METHOD_IDS))
+assert prep.universe.size > 1800 and set(prep.quant) == {0.1}
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_featureless_graph_setup_peak_memory_stays_within_budget():
+    peak_mb = child_peak_mb(_FEATURELESS_PROBE, str(Path(__file__).parent))
+    assert peak_mb < FEATURELESS_MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
