@@ -70,6 +70,8 @@ logger = logging.getLogger(__name__)
 _NORMAL = NormalDist()
 # z_{0.75} - z_{0.25}: converts an interquartile range to a normal sigma
 IQR_TO_SD = _NORMAL.inv_cdf(0.75) - _NORMAL.inv_cdf(0.25)
+# Drawn indices per block of group-sampling targets: 8 MiB per int64 array.
+_DRAW_BLOCK_CELLS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +98,10 @@ def group_sampling_threshold(
     larger request is reduced with a diagnostic since groups are drawn
     without replacement.
 
-    Targets are taken one test-size class at a time: the class's draws
-    fill one (targets x K x m) index array, the columns are gathered once,
-    and each row's scores and threshold equal the one-target computation
-    bit for bit.
+    Targets are taken by test-size class, in blocks of at most
+    ``_DRAW_BLOCK_CELLS`` drawn indices: a block's draws fill one (targets x
+    K x m) index array, the columns are gathered once, and each row's scores
+    and threshold equal the one-target computation bit for bit.
     """
     check_alpha(alpha)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -128,11 +130,13 @@ def group_sampling_threshold(
             if K > k_groups:
                 logger.warning("group sampling: K reduced from %d to %d", K, k_groups)
             k_groups = min(K, k_groups)
-        rows = np.empty((targets.size, k_groups * m), dtype=np.int64)
-        for r, t in enumerate(targets.tolist()):
-            rows[r] = rngs[t].permutation(n_cal)[: k_groups * m]
-        scores = score(*(c[rows.reshape(targets.size, k_groups, m)] for c in cols))
-        q[targets] = kth_smallest(scores, alpha)
+        per_block = max(1, _DRAW_BLOCK_CELLS // (k_groups * m))
+        for block in np.split(targets, range(per_block, targets.size, per_block)):
+            rows = np.empty((block.size, k_groups * m), dtype=np.int64)
+            for r, t in enumerate(block.tolist()):
+                rows[r] = rngs[t].permutation(n_cal)[: k_groups * m]
+            scores = score(*(c[rows.reshape(block.size, k_groups, m)] for c in cols))
+            q[block] = kth_smallest(scores, alpha)
     return q
 
 

@@ -489,14 +489,16 @@ def _fit_and_predict(features, labels, train_pos, universe, config):
     is None, a graph with no edge features) every training row is a
     neighbour: the point prediction is the mean of the training labels in
     training-row order, and the bands are order statistics of the sorted
-    training labels. Every α's (α/2, 1−α/2) band and the (0.25, 0.75) IQR
-    are read by :func:`~ciarith.models.quantile_index`.
+    training labels, and ``config.knn_k`` is a ValueError. Every α's (α/2,
+    1−α/2) band and the (0.25, 0.75) IQR use :func:`~ciarith.models.quantile_index`.
     """
     y = labels[train_pos]
     need_cqr = bool(_CQR_METHODS & set(config.methods))
     need_hetero = "normal_hetero" in config.methods
     y_hat = np.full(labels.size, np.nan)
     if features is None:
+        if config.knn_k is not None:
+            raise ValueError("knn_k applies to inputs with features; this graph has none")
         y_hat[universe] = y.mean()
         ranked = np.sort(y)
     else:

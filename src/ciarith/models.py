@@ -119,47 +119,60 @@ def _standardize(model: FittedModel, features) -> tuple[np.ndarray, bool]:
     return (F - model.feat_mean) / model.feat_scale, single
 
 
-# Query rows per partition block. It bounds the int64 index temporary to
-# _BLOCK_ROWS x n_train; the block size changes no result.
-_BLOCK_ROWS = 256
+# Query rows per selection slice. It bounds the selection's temporaries to
+# _BLOCK_ROWS x n_train; the slice size changes no result.
+_BLOCK_ROWS = 64
+# Bytes of float64 GEMM product per block of query rows.
+_GEMM_BYTES = 64 * 2**20
 
 
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """(n_query, k) indices of the k nearest training rows, by (distance, index).
+def _query_blocks(n_query: int, n_train: int) -> list[tuple[int, int]]:
+    """(start, stop) of GEMM blocks of query rows: at most ``_GEMM_BYTES`` of
+    product each but at least two rows, spread evenly, so only a single query
+    row makes a one-row block (which goes through GEMV, not GEMM)."""
+    per_block = max(2, _GEMM_BYTES // (8 * n_train))
+    n_blocks = max(1, min(-(-n_query // per_block), n_query // 2))
+    return [(n_query * i // n_blocks, n_query * (i + 1) // n_blocks) for i in range(n_blocks)]
 
-    Equal to ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without sorting
+
+def _nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k) indices of the k nearest training rows, by (distance, index).
+
+    Equal to ``np.argsort(d, axis=1, kind="stable")[:, :k]`` without sorting
     whole rows. ``np.argpartition`` picks k candidates per row, and the
     candidates are ordered by (distance, index). The candidate set is exact
     unless another training row shares the k-th distance: a row whose count
-    of ``d2 <= kth`` is not exactly k has such a tie (or a NaN) at the
+    of ``d <= kth`` is not exactly k has such a tie (or a NaN) at the
     boundary and is redone with the stable sort.
     """
-    out = np.empty((d2.shape[0], k), dtype=np.intp)
-    for start in range(0, d2.shape[0], _BLOCK_ROWS):
-        d = d2[start:start + _BLOCK_ROWS]
-        idx = np.argpartition(d, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d, idx[:, -1:], axis=1)
-        tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) != k)
-        idx.sort(axis=1)
-        by_dist = np.argsort(np.take_along_axis(d, idx, axis=1), axis=1, kind="stable")
-        idx = np.take_along_axis(idx, by_dist, axis=1)
-        if tied.size:
-            idx[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-        out[start:start + _BLOCK_ROWS] = idx
-    return out
+    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(d, idx[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) != k)
+    idx.sort(axis=1)
+    by_dist = np.argsort(np.take_along_axis(d, idx, axis=1), axis=1, kind="stable")
+    idx = np.take_along_axis(idx, by_dist, axis=1)
+    if tied.size:
+        idx[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+    return idx
 
 
 def _neighbor_labels(model: FittedModel, Z: np.ndarray) -> np.ndarray:
     Ztr, ytr = model.params
-    # one GEMM over all query rows, in place: the same operations as
-    # a + b - 2.0 * (Z @ Ztr.T). Splitting the product by rows would change
-    # the last bits of the distances (a one-row block goes through GEMV).
-    d2 = (Z**2).sum(axis=1)[:, None] + (Ztr**2).sum(axis=1)[None, :]
-    g = Z @ Ztr.T
-    g *= 2.0
-    d2 -= g
-    del g  # free the product before the selection's temporaries
-    return ytr[_nearest(d2, model.k_neighbors)]
+    a, b = (Z**2).sum(axis=1), (Ztr**2).sum(axis=1)
+    blocks = _query_blocks(Z.shape[0], Ztr.shape[0])
+    g = np.empty((max(hi - lo for lo, hi in blocks), Ztr.shape[0]))
+    out = np.empty((Z.shape[0], model.k_neighbors), dtype=np.intp)
+    for lo, hi in blocks:
+        # g is the one full-size buffer: the block's product goes in, and each
+        # slice's distances are formed there as d2 = a + b; d2 -= 2.0 * product
+        block = np.matmul(Z[lo:hi], Ztr.T, out=g[:hi - lo])
+        block *= 2.0
+        for s in range(0, hi - lo, _BLOCK_ROWS):
+            d = block[s:s + _BLOCK_ROWS]
+            rows = slice(lo + s, lo + s + d.shape[0])
+            np.subtract(a[rows, None] + b, d, out=d)
+            out[rows] = _nearest(d, model.k_neighbors)
+    return ytr[out]
 
 
 def neighbor_labels(model: FittedModel, features) -> np.ndarray:
@@ -169,6 +182,12 @@ def neighbor_labels(model: FittedModel, features) -> np.ndarray:
     and :func:`predict_quantiles`; a 1-D feature vector is one query row.
     Distances are squared Euclidean on the z-scored features, and rows at
     equal distance go to the lower training index.
+
+    The product Z @ Ztr.T is taken in blocks of at most 64 MiB of query rows,
+    and the distances a + b - 2 (Z @ Ztr.T) are formed in it. An input whose
+    product fits one block makes one GEMM call, as an unblocked product does,
+    and gets its bits; with more blocks the BLAS may round the last bits, and
+    so order near ties, otherwise.
     """
     if model.kind != "knn":
         raise ValueError(f"model kind {model.kind!r} has no neighbours")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ciarith import scoring
+from ciarith import baselines, scoring
 from ciarith.baselines import (
     IQR_TO_SD,
     bonferroni_predict,
@@ -164,6 +164,17 @@ class TestGroupSamplingBatched:
             groups_per_target.extend((n_cal // sizes).tolist())
         # K = 3 is above floor(n_cal / m) for some targets and below it for others
         assert min(groups_per_target) < 3 < max(groups_per_target)
+
+    @pytest.mark.parametrize("cells", [1, 50, 200])
+    def test_target_blocks_match_per_target_loop_bitwise(self, monkeypatch, cells):
+        # a block cap of 1 cell puts every target in a block of its own
+        monkeypatch.setattr(baselines, "_DRAW_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(33)
+        for kind in ("split", "cqr"):
+            sizes = rng.integers(1, 6, size=45)
+            seeds = [derive_seed(cells, 3, 1, t) for t in range(sizes.size)]
+            got, want = self._both(self._cols(rng, 60, kind), sizes, 0.1, kind, None, seeds)
+            assert got.tobytes() == want.tobytes(), kind
 
     def test_infinite_thresholds_where_k_exceeds_the_draws(self):
         rng = np.random.default_rng(32)

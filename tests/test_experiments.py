@@ -402,6 +402,22 @@ class TestRunExperiment:
         assert np.all(lo[universe] == train[math.ceil(n * alpha / 2) - 1])
         assert np.all(hi[universe] == train[math.ceil(n * (1 - alpha / 2)) - 1])
 
+    @pytest.mark.parametrize("study", [False, True])
+    def test_featureless_graph_rejects_knn_k(self, study):
+        # it used to be ignored: the bands read every training edge anyway
+        base = make_grid_graph(5)
+        g = WeightedGraph(nodes=base.node_ids.tolist(),
+                          edges=[replace(e, features=None) for e in base.edges])
+        cfg = ExperimentConfig(alphas=(0.1,), reps=1, methods=("cia_cqr",), knn_k=5)
+        with pytest.raises(ValueError, match=r"^knn_k applies to inputs with features"):
+            if study:
+                overlap_gap_study(g, cfg, [1], n_paths=10)
+            else:
+                run_experiment(g, PathSampling(n_paths=10), cfg)
+        # with features, and with knn_k unset, the same runs succeed
+        run_experiment(base, PathSampling(n_paths=10), cfg)
+        run_experiment(g, PathSampling(n_paths=10), replace(cfg, knn_k=None))
+
     def test_graph_requires_path_spec(self):
         g = WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0, label=1.0)])
         cfg = ExperimentConfig(alphas=(0.1,), reps=1, seed=0)

@@ -189,6 +189,17 @@ class TestSamplePathGroups:
                         eid += 1
         return WeightedGraph(nodes=range(k * k), edges=edges)
 
+    @pytest.mark.parametrize("n", [900, 100, 3, 2])
+    def test_batched_pair_draw_equals_the_scalar_draws(self, n):
+        # the sampler draws each pair as rng.integers(n), rng.integers(n - 1);
+        # one call over np.tile([n, n - 1], k) must give the same values and
+        # leave the generator in the same state, so pairs can be drawn at once
+        k = 2_000
+        scalar, batched = np.random.default_rng(n), np.random.default_rng(n)
+        want = [int(scalar.integers(m)) for _ in range(k) for m in (n, n - 1)]
+        assert batched.integers(np.tile([n, n - 1], k)).tolist() == want
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
     def test_collects_k_paths(self):
         g = self._grid()
         paths = sample_path_groups(g, K=15, rng_seed=1)

@@ -322,3 +322,60 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 def test_featureless_graph_setup_peak_memory_stays_within_budget():
     peak_mb = child_peak_mb(_FEATURELESS_PROBE, str(Path(__file__).parent))
     assert peak_mb < FEATURELESS_MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
+
+
+# ru_maxrss budget of a child that selects the neighbours of 3,000 query rows
+# among 10,000 training rows. Distances and the GEMM product as two full
+# (query x training) float64 matrices are 240 MB each; with the product taken
+# in blocks of models._GEMM_BYTES and the distances formed in it, one
+# 64 MiB block is the largest buffer.
+KNN_MEMORY_BUDGET_MB = 150
+
+_KNN_PROBE = """
+import resource
+
+import numpy as np
+
+from ciarith import models
+
+rng = np.random.default_rng(0)
+model = models.fit_arrays(rng.normal(size=(10_000, 3)), rng.normal(size=10_000), "knn")
+labels = models.neighbor_labels(model, rng.normal(size=(3_000, 3)))
+assert labels.shape == (3_000, model.k_neighbors) == (3_000, 100)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_knn_peak_memory_stays_within_budget():
+    peak_mb = child_peak_mb(_KNN_PROBE)
+    assert peak_mb < KNN_MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"
+
+
+# ru_maxrss budget of a child that draws the calibration groups of 2,000
+# group-sampling targets of test size 1 over 6,000 calibration rows. One
+# (targets x K·m) index array is 96 MB, and so is each gathered column and
+# score temporary; in blocks of baselines._DRAW_BLOCK_CELLS each is 8 MiB.
+GROUP_SAMPLING_MEMORY_BUDGET_MB = 150
+
+_GROUP_SAMPLING_PROBE = """
+import resource
+
+import numpy as np
+
+from ciarith import baselines, scoring
+
+rng = np.random.default_rng(0)
+y = rng.normal(size=6_000)
+cols = (y, y + rng.normal(scale=0.1, size=6_000))
+rngs = [np.random.default_rng(t) for t in range(2_000)]
+q = baselines.group_sampling_threshold(
+    cols, np.ones(2_000, np.int64), 0.1, scoring.split_score, None, rngs
+)
+assert q.shape == (2_000,) and np.isfinite(q).all()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_group_sampling_peak_memory_stays_within_budget():
+    peak_mb = child_peak_mb(_GROUP_SAMPLING_PROBE)
+    assert peak_mb < GROUP_SAMPLING_MEMORY_BUDGET_MB, f"peak {peak_mb:.0f} MB"

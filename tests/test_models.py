@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciarith import models
 from ciarith.core import LabeledSample
 from ciarith.models import (
+    FittedModel,
     fit,
     fit_arrays,
     neighbor_labels,
@@ -204,6 +206,51 @@ class TestNeighbourSelection:
         queries = rng.integers(-3, 4, size=(700, 2)).astype(float)
         for k in (1, 7, 20, 399, 400):
             assert_matches_oracle(fit_arrays(X, y, "knn", k_neighbors=k), queries, LEVELS)
+
+    def test_one_block_matches_the_one_gemm_formula_bit_for_bit(self):
+        # z-scored features from a coarse grid, so true distances often tie
+        # and the rounding of each operation decides the order; 700 query
+        # rows take several selection slices of one GEMM block
+        rng = np.random.default_rng(11)
+        grid = [-0.7, 0.1, 0.3, 1.1]
+        X, queries = rng.choice(grid, size=(500, 3)), rng.choice(grid, size=(700, 3))
+        y = rng.normal(size=500)
+        assert models._query_blocks(700, 500) == [(0, 700)]
+        for k in (1, 9, 60, 500):
+            model = fit_arrays(X, y, "knn", k_neighbors=k)
+            assert_same_bits(neighbor_labels(model, queries), full_sort_oracle(model, queries))
+
+    @pytest.mark.parametrize("gemm_rows, slice_rows", [(2, 1), (3, 2), (5, 64), (40, 7)])
+    def test_blocks_match_the_one_gemm_formula_on_exact_inputs(
+        self, monkeypatch, gemm_rows, slice_rows
+    ):
+        # integer-valued Z and Ztr (mean 0, scale 1) keep every product and
+        # sum exact, so any split of the GEMM gives the formula's bits
+        rng = np.random.default_rng(3)
+        Ztr = rng.integers(-3, 4, size=(120, 2)).astype(float)
+        y = rng.normal(size=120)
+        queries = rng.integers(-3, 4, size=(101, 2)).astype(float)
+        monkeypatch.setattr(models, "_GEMM_BYTES", gemm_rows * 8 * 120)
+        monkeypatch.setattr(models, "_BLOCK_ROWS", slice_rows)
+        assert len(models._query_blocks(101, 120)) > 1
+        for k in (1, 7, 120):
+            model = FittedModel("knn", np.zeros(2), np.ones(2), (Ztr, y), k_neighbors=k)
+            assert_matches_oracle(model, queries, LEVELS)
+            assert_matches_oracle(model, queries[0], LEVELS)
+
+    def test_no_block_has_one_row_unless_one_query_row(self, monkeypatch):
+        monkeypatch.setattr(models, "_GEMM_BYTES", 5 * 8 * 10)
+        for n_train in (10, 20, 30, 60, 10**6):  # 5, 2, 1, 0 and 0 rows fit
+            fit_rows = models._GEMM_BYTES // (8 * n_train)
+            for n_query in range(40):
+                blocks = models._query_blocks(n_query, n_train)
+                sizes = [hi - lo for lo, hi in blocks]
+                assert [lo for lo, _ in blocks] == [0, *np.cumsum(sizes)[:-1].tolist()]
+                assert sum(sizes) == n_query and max(sizes) - min(sizes) <= 1
+                assert min(sizes) >= 2 or n_query < 2
+                if n_query <= fit_rows:
+                    assert len(blocks) == 1
+                assert max(sizes) <= max(fit_rows, 3)
 
     def test_non_knn_model_has_no_neighbours(self):
         m = fit(rows([[0.0], [1.0]], [0, 1]), "linear_ls")
