@@ -39,6 +39,7 @@ from . import scoring
 from .core import (
     IntervalPrediction,
     LabeledSample,
+    _check_finite,
     _integer,
     _prediction,
     _rng,
@@ -91,7 +92,8 @@ def group_sampling_threshold(
 
     ``cols`` holds the columns ``score`` reads over the n_cal calibration
     rows: (y, point_pred) for the split score, (y, quant_lo, quant_hi)
-    for the quantile-band score.
+    for the quantile-band score. A nan or inf in a column is a ValueError
+    reading ``calibration row r, column j: v is not finite``.
     Target t has test size ``sizes[t]`` = m and draws its K size-m groups
     as the first K·m entries of ``rngs[t].permutation(n_cal)``: ``rngs``
     holds one generator per target. K defaults to floor(n_cal / m); a
@@ -108,6 +110,8 @@ def group_sampling_threshold(
     if len(rngs) != sizes.size:
         raise ValueError(f"group sampling needs one generator per target: "
                          f"{len(rngs)} generators for {sizes.size} targets")
+    for j, col in enumerate(cols):
+        _check_finite(col, lambda r, j=j: f"calibration row {r}, column {j}:")
     n_cal = cols[0].size
     short = np.flatnonzero(sizes > n_cal)
     if short.size:

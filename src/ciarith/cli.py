@@ -4,12 +4,13 @@ Four subcommands: ``group-avg`` (category averages on tabular data),
 ``path-cost`` (shortest-path cost sums on an edge-list graph),
 ``simulate`` (synthetic data with known properties), and
 ``overlap-study`` (coverage gap versus group overlap on a graph).
-Each writes results.csv and SVG charts into --out and exits 0; failures
-emit one JSON line on stderr and a nonzero exit code.
+Each writes results.csv and SVG charts into --out, prints the rows of
+that results.csv and a ``wrote`` line, and exits 0; failures emit one JSON
+line on stderr and a nonzero exit code.
 
-The first three share one command body, :func:`_cmd_experiment`; each
-supplies only an ``inputs`` function that builds its ``(data, grouping)``.
-``overlap-study`` has its own body, because its table has other columns.
+All four share one command body, in :func:`main`. Each subcommand sets
+only a ``study`` function that reads its inputs, runs its study and
+writes its report, returning the report's file paths.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from .cia import SPLIT_MODES
 from .experiments import (
@@ -35,8 +37,6 @@ from .graph import load_edge_list
 from .report import emit_report, write_overlap_report
 
 __all__ = ["main"]
-
-logger = logging.getLogger(__name__)
 
 
 def _alphas(text: str) -> tuple[float, ...]:
@@ -81,61 +81,34 @@ def _config(args) -> ExperimentConfig:
     )
 
 
-def _print_results(results) -> None:
-    print(f"{'method':<16} {'alpha':>6} {'coverage':>9} {'size':>12} {'reps':>5}")
-    for r in results:
-        size = "inf" if r.mean_size == float("inf") else f"{r.mean_size:.4f}"
-        print(
-            f"{r.method:<16} {r.alpha:>6.3f} {r.mean_coverage:>9.4f} "
-            f"{size:>12} {r.reps:>5}"
-        )
+def _experiment(args, data, grouping) -> dict[str, str]:
+    return emit_report(run_experiment(data, grouping, _config(args)), args.out)
 
 
-def _tabular_inputs(args):
+def _group_avg(args) -> dict[str, str]:
     dataset = load_tabular_csv(
         args.data, args.label, args.group_by, discretize_bins=args.discretize_bins
     )
-    return dataset, build_groups_by_category(dataset, args.group_by)
+    return _experiment(args, dataset, build_groups_by_category(dataset, args.group_by))
 
 
-def _graph_inputs(args):
-    return (load_edge_list(args.graph),
-            PathSampling(n_paths=args.paths, min_path_len=args.min_len))
+def _path_cost(args) -> dict[str, str]:
+    return _experiment(args, load_edge_list(args.graph),
+                       PathSampling(n_paths=args.paths, min_path_len=args.min_len))
 
 
-def _synthetic_inputs(args):
-    return generate_synthetic(
+def _simulate(args) -> dict[str, str]:
+    return _experiment(args, *generate_synthetic(
         args.n, args.groups, noise_kind=args.noise, rng_seed=args.seed,
         n_features=args.features,
-    )
+    ))
 
 
-def _cmd_experiment(args) -> int:
-    data, grouping = args.inputs(args)
-    results = run_experiment(data, grouping, _config(args))
-    paths = emit_report(results, args.out)
-    _print_results(results)
-    print(f"wrote {paths['results']}")
-    return 0
-
-
-def _cmd_overlap_study(args) -> int:
-    graph = load_edge_list(args.graph)
+def _overlap_study(args) -> dict[str, str]:
     rows = overlap_gap_study(
-        graph, _config(args), args.min_len_grid, n_paths=args.paths
+        load_edge_list(args.graph), _config(args), args.min_len_grid, n_paths=args.paths
     )
-    if not rows:
-        raise ValueError("overlap study produced no rows")
-    paths = write_overlap_report(rows, args.out)
-    print(f"{'min_len':>7} {'method':<16} {'delta_avg':>10} {'delta_max':>10} "
-          f"{'coverage':>9} {'gap':>8}")
-    for r in sorted(rows, key=lambda r: (r.method, r.alpha, r.min_len)):
-        print(
-            f"{r.min_len:>7} {r.method:<16} {r.delta_avg:>10.4f} {r.delta_max:>10.4f} "
-            f"{r.coverage:>9.4f} {r.coverage_gap:>8.4f}"
-        )
-    print(f"wrote {paths['results']}")
-    return 0
+    return write_overlap_report(rows, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", type=lambda s: tuple(s.split(",")), required=True)
     p.add_argument("--discretize-bins", type=int, default=None)
     _add_common(p)
-    p.set_defaults(fn=_cmd_experiment, inputs=_tabular_inputs)
+    p.set_defaults(study=_group_avg)
 
     p = sub.add_parser("path-cost", help="path-cost experiment on an edge-list CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--min-len", type=int, default=1)
     _add_common(p)
-    p.set_defaults(fn=_cmd_experiment, inputs=_graph_inputs)
+    p.set_defaults(study=_path_cost)
 
     p = sub.add_parser("simulate", help="synthetic-data experiment")
     p.add_argument("--n", type=int, default=5000)
@@ -166,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     p.add_argument("--features", type=int, default=3)
     _add_common(p)
-    p.set_defaults(fn=_cmd_experiment, inputs=_synthetic_inputs)
+    p.set_defaults(study=_simulate)
 
     p = sub.add_parser("overlap-study", help="overlap vs coverage-gap study")
     p.add_argument("--graph", required=True)
     p.add_argument("--min-len-grid", type=_int_list, default=(1, 3, 5, 8))
     p.add_argument("--paths", type=int, default=100)
     _add_common(p, default_methods="cia_split")
-    p.set_defaults(fn=_cmd_overlap_study)
+    p.set_defaults(study=_overlap_study)
 
     return parser
 
@@ -182,7 +155,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.fn(args)
+        paths = args.study(args)
+        print(Path(paths["results"]).read_text(encoding="utf-8"), end="")
+        print(f"wrote {paths['results']}")
+        return 0
     except Exception as exc:  # surface one machine-readable line
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 1

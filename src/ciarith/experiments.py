@@ -469,19 +469,13 @@ class _Prep:
     y_hat: np.ndarray  # predictions on the universe (nan elsewhere)
     quant: dict[float, tuple[np.ndarray, np.ndarray]]
     sigma_iqr: np.ndarray | None
-    groups: tuple[np.ndarray, np.ndarray] | None  # fixed CSR groups (tabular), else None
+    groups: tuple[np.ndarray, np.ndarray] | None = None  # fixed CSR groups (tabular)
     cost: np.ndarray | None = None  # per-edge routing costs (graph mode)
 
 
-@dataclass
-class _RepOutcome:
-    coverage: float
-    mean_width: float
-    n_infinite: int
-
-
-def _fit_and_predict(features, labels, train_pos, universe, config):
-    """Point predictions and quantile bands on the universe, one rule per input.
+def _fit_and_predict(features, labels, config) -> _Prep:
+    """Split off the training rows, fit on them, and predict on the rest (the
+    universe): point predictions and quantile bands, one rule per input.
 
     With features: a least-squares point model, and bands from one kNN
     selection per fit (the k nearest training rows of each universe row,
@@ -492,6 +486,7 @@ def _fit_and_predict(features, labels, train_pos, universe, config):
     training labels, and ``config.knn_k`` is a ValueError. Every α's (α/2,
     1−α/2) band and the (0.25, 0.75) IQR use :func:`~ciarith.models.quantile_index`.
     """
+    train_pos, universe = _train_universe(labels.size, config)
     y = labels[train_pos]
     need_cqr = bool(_CQR_METHODS & set(config.methods))
     need_hetero = "normal_hetero" in config.methods
@@ -515,7 +510,8 @@ def _fit_and_predict(features, labels, train_pos, universe, config):
 
     quant = {a: (column(a / 2), column(1 - a / 2)) for a in config.alphas} if need_cqr else {}
     sigma_iqr = baselines.iqr_sigma(column(0.25), column(0.75)) if need_hetero else None
-    return y_hat, quant, sigma_iqr
+    return _Prep(universe=universe, y=labels.astype(float), y_hat=y_hat, quant=quant,
+                 sigma_iqr=sigma_iqr)
 
 
 def _train_universe(n, config):
@@ -565,6 +561,10 @@ class _Session:
         return csr_offsets(sizes[sizes > 0]), rows[np.lexsort((rows, owner))]
 
     def run_rep(self, rep: int):
+        """(outcome, overlap deltas or None) of one rep. The (methods x alphas
+        x 3) ``outcome`` holds per (method, alpha) the coverage, the mean
+        finite width (nan if none) and the infinite count; a method that fails
+        at a level gets nan for all three, so a nan coverage marks a failure."""
         offsets, members = self._groups_for_rep(rep)
         if offsets.size == 1:
             raise ValueError(f"rep {rep}: no usable groups")
@@ -572,24 +572,24 @@ class _Session:
         deltas = _overlap_deltas(offsets, members) if self.collect_deltas else None
         true_sums = per_group(row_sum, *split.test, self.prep.y)
 
-        outcomes: dict[tuple[str, float], _RepOutcome | None] = {}
-        for alpha in self.config.alphas:
-            for method in self.config.methods:
+        config = self.config
+        outcome = np.full((len(config.methods), len(config.alphas), 3), math.nan)
+        for j, alpha in enumerate(config.alphas):
+            for i, method in enumerate(config.methods):
                 try:
                     lower, upper = self._bounds(method, alpha, rep, split)
                 except ValueError as exc:
                     logger.warning("rep %d: %s at alpha=%g failed: %s", rep, method, alpha, exc)
-                    outcomes[(method, alpha)] = None
                     continue
                 covered = (lower <= true_sums) & (true_sums <= upper)
                 widths = upper - lower
                 finite = np.isfinite(widths)
-                outcomes[(method, alpha)] = _RepOutcome(
-                    coverage=float(covered.mean()),
-                    mean_width=float(widths[finite].mean()) if finite.any() else math.nan,
-                    n_infinite=int((~finite).sum()),
+                outcome[i, j] = (
+                    covered.mean(),
+                    widths[finite].mean() if finite.any() else math.nan,
+                    (~finite).sum(),
                 )
-        return outcomes, deltas
+        return outcome, deltas
 
     def _split(self, rep: int, offsets: np.ndarray, members: np.ndarray) -> _SplitArrays:
         """Split the rep's CSR groups into calibration and test sides."""
@@ -670,65 +670,56 @@ class _SplitArrays:
     pooled: dict = field(default_factory=dict)
 
 
-def _aggregate(config, per_rep) -> list[MethodResult]:
+def _aggregate(config, outcomes: np.ndarray) -> list[MethodResult]:
+    """One result per (method, alpha) from the :meth:`_Session.run_rep` arrays
+    stacked in rep order, (methods x alphas x 3 x reps). A nan coverage marks
+    a failed rep, left out of ``reps`` and of every mean and std; sizes cover
+    the reps with a finite mean width, and infinite counts are summed."""
     results = []
-    for method in config.methods:
-        for alpha in config.alphas:
-            outcomes = [
-                o[(method, alpha)] for o in per_rep if o.get((method, alpha)) is not None
-            ]
-            if not outcomes:
+    for method, by_alpha in zip(config.methods, outcomes):
+        for alpha, rows in zip(config.alphas, by_alpha):
+            cov, widths, n_infinite = rows[:, ~np.isnan(rows[0])]
+            if not cov.size:
                 logger.warning("%s at alpha=%g failed in every rep", method, alpha)
                 continue
-            cov = np.array([o.coverage for o in outcomes])
-            widths = np.array([o.mean_width for o in outcomes])
-            finite = np.isfinite(widths)
-            if finite.any():
-                mean_size = float(widths[finite].mean())
-                size_std = float(widths[finite].std())
-            else:
-                mean_size, size_std = math.inf, 0.0
+            sizes = widths[np.isfinite(widths)]
             results.append(
                 MethodResult(
                     method=method,
                     alpha=alpha,
                     mean_coverage=float(cov.mean()),
                     coverage_std=float(cov.std()),
-                    mean_size=mean_size,
-                    size_std=size_std,
-                    reps=len(outcomes),
-                    infinite_interval_count=sum(o.n_infinite for o in outcomes),
+                    mean_size=float(sizes.mean()) if sizes.size else math.inf,
+                    size_std=float(sizes.std()) if sizes.size else 0.0,
+                    reps=cov.size,
+                    infinite_interval_count=int(n_infinite.sum()),
                 )
             )
     return sorted(results, key=lambda r: (r.method, r.alpha))
 
 
 def _run_session(session: _Session):
-    """Run the reps in order; a graph's cached path trees carry over."""
-    per_rep: list[dict] = []
+    """Run the reps in order; a graph's cached path trees carry over. A rep
+    that fails entirely keeps a nan outcome, a failure of every method."""
+    config = session.config
+    outcomes = np.full((len(config.methods), len(config.alphas), 3, config.reps), math.nan)
     deltas: list[tuple[float, float]] = []
-    for rep in range(session.config.reps):
+    for rep in range(config.reps):
         try:
-            outcomes, d = session.run_rep(rep)
+            outcomes[..., rep], d = session.run_rep(rep)
         except ValueError as exc:
             logger.warning("rep %d failed entirely: %s", rep, exc)
             continue
-        per_rep.append(outcomes)
         if d is not None:
             deltas.append(d)
-    return _aggregate(session.config, per_rep), deltas
+    return _aggregate(config, outcomes), deltas
 
 
 def _prepare_tabular(dataset: TabularDataset, groups, config) -> _Prep:
-    train_pos, universe = _train_universe(dataset.n_rows, config)
-    y_hat, quant, sigma = _fit_and_predict(
-        dataset.features, dataset.labels, train_pos, universe, config
-    )
-    kept = restrict_groups(groups, universe.tolist())
-    return _Prep(
-        universe=universe, y=dataset.labels.astype(float), y_hat=y_hat,
-        quant=quant, sigma_iqr=sigma, groups=group_csr(sorted(g.members) for g in kept),
-    )
+    prep = _fit_and_predict(dataset.features, dataset.labels, config)
+    kept = restrict_groups(groups, prep.universe.tolist())
+    prep.groups = group_csr(sorted(g.members) for g in kept)
+    return prep
 
 
 def _prepare_graph(graph: WeightedGraph, config) -> _Prep:
@@ -738,17 +729,14 @@ def _prepare_graph(graph: WeightedGraph, config) -> _Prep:
             "path-cost experiments need a label on every edge; "
             f"{int(np.isnan(labels).sum())} edges are unlabeled"
         )
-    train_pos, universe = _train_universe(graph.n_edges, config)
-    y_hat, quant, sigma = _fit_and_predict(graph.features, labels, train_pos, universe, config)
-    cost = labels.copy()
-    clipped = int(np.sum(y_hat[universe] < 0))
+    prep = _fit_and_predict(graph.features, labels, config)
+    y_hat = prep.y_hat[prep.universe]
+    clipped = int(np.sum(y_hat < 0))
     if clipped:
         logger.debug("%d negative predicted edge costs clamped to 0", clipped)
-    cost[universe] = np.maximum(y_hat[universe], 0.0)
-    return _Prep(
-        universe=universe, y=labels.astype(float), y_hat=y_hat,
-        quant=quant, sigma_iqr=sigma, groups=None, cost=cost,
-    )
+    prep.cost = labels.copy()
+    prep.cost[prep.universe] = np.maximum(y_hat, 0.0)
+    return prep
 
 
 def run_experiment(data, grouping, config: ExperimentConfig) -> list[MethodResult]:

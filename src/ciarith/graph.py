@@ -105,13 +105,16 @@ class WeightedGraph:
         self.src_pos = np.array([self._node_pos[e.src] for e in self.edges], dtype=np.int64)
         self.dst_pos = np.array([self._node_pos[e.dst] for e in self.edges], dtype=np.int64)
         featured = [e for e in self.edges if e.features is not None]
+        if featured and len(featured) < len(self.edges):
+            bare = next(e for e in self.edges if e.features is None)
+            raise ValueError(f"edge {bare.edge_id} has no features, but other edges have {n_feat}")
         feats = np.array([e.features for e in featured], dtype=float).reshape(
             len(featured), n_feat or 0
         )
         bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
         if bad.size:
             raise ValueError(f"edge {featured[bad[0]].edge_id} has a non-finite feature")
-        self.features = feats if featured and len(featured) == len(self.edges) else None
+        self.features = feats if featured else None
         # an absent label is nan; one given explicitly must be finite
         self.labels = np.array(
             [math.nan if e.label is None else e.label for e in self.edges], dtype=float

@@ -4,8 +4,9 @@ Output bytes are a pure function of the results (fixed float formatting,
 fixed palette, no timestamps), so identical runs produce identical files.
 
 Each table is one column spec: (CSV column, record field, parser) per
-column. The spec gives the header, the cells (floats through
-:func:`_fmt`, everything else as is) and, for results, the reader.
+column. The spec gives the header, the cells (floats with six decimals,
+everything else as is) and, for results, the reader. Every chart is drawn
+by one renderer, :func:`_chart`, from x and y getters and its labels.
 :func:`emit_report` and :func:`write_overlap_report` share one writer,
 :func:`_write_report`, for the directory, results.csv and the charts.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import _parse_field, _read_csv
 from .experiments import MethodResult, OverlapStudyRow
@@ -68,12 +69,6 @@ PALETTE = (
 )
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6f}"
-
-
 def _by_method_alpha(r) -> tuple:
     return (r.method, r.alpha)
 
@@ -84,7 +79,7 @@ def _write_table(path, records, columns) -> None:
         writer.writerow([name for name, _, _ in columns])
         for r in records:
             writer.writerow([
-                _fmt(getattr(r, fld)) if parse is float else getattr(r, fld)
+                f"{getattr(r, fld):.6f}" if parse is float else getattr(r, fld)
                 for _, fld, parse in columns
             ])
 
@@ -132,29 +127,38 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _axis(values: Sequence[float]) -> tuple[float, float, list[float]]:
+    """(low end, high end, ticks) of an axis over ``values``: their range,
+    widened to 1 when it is empty or flat, then padded by 5% on each side;
+    the ticks span the range before padding."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    return lo, hi, _ticks(lo + pad, hi - pad)
+
+
 def _chart(
-    series: dict[str, list[tuple[float, float]]],
+    records,
+    x: Callable,
+    y: Callable,
     title: str,
     xlabel: str,
     ylabel: str,
     diagonal: bool = False,
 ) -> str:
-    pts = [p for s in series.values() for p in s if math.isfinite(p[0]) and math.isfinite(p[1])]
-    if pts:
-        xs, ys = zip(*pts)
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-    else:
-        x_lo = y_lo = 0.0
-        x_hi = y_hi = 1.0
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    x_pad = 0.05 * (x_hi - x_lo)
-    y_pad = 0.05 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    """Every chart: one line per method, methods in name order, through the
+    sorted (x(r), y(r)) points of its records. A point with a non-finite
+    coordinate is left out; a method without points keeps its legend entry."""
+    series: dict[str, list[tuple[float, float]]] = {}
+    for r in sorted(records, key=lambda r: r.method):
+        points = series.setdefault(r.method, [])
+        p = (x(r), y(r))
+        if math.isfinite(p[0]) and math.isfinite(p[1]):
+            points.append(p)
+    x_lo, x_hi, x_ticks = _axis([p[0] for s in series.values() for p in s])
+    y_lo, y_hi, y_ticks = _axis([p[1] for s in series.values() for p in s])
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
@@ -173,7 +177,7 @@ def _chart(
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
     ]
-    for t in _ticks(x_lo + x_pad, x_hi - x_pad):
+    for t in x_ticks:
         parts.append(
             f'<line x1="{sx(t):.1f}" y1="{_MT + plot_h}" x2="{sx(t):.1f}" '
             f'y2="{_MT + plot_h + 5}" stroke="#333"/>'
@@ -182,7 +186,7 @@ def _chart(
             f'<text x="{sx(t):.1f}" y="{_MT + plot_h + 18}" '
             f'text-anchor="middle">{t:.2f}</text>'
         )
-    for t in _ticks(y_lo + y_pad, y_hi - y_pad):
+    for t in y_ticks:
         parts.append(
             f'<line x1="{_ML - 5}" y1="{sy(t):.1f}" x2="{_ML}" y2="{sy(t):.1f}" '
             f'stroke="#333"/>'
@@ -205,11 +209,9 @@ def _chart(
                 f'<line x1="{sx(d_lo):.1f}" y1="{sy(d_lo):.1f}" x2="{sx(d_hi):.1f}" '
                 f'y2="{sy(d_hi):.1f}" stroke="#999" stroke-dasharray="5,4"/>'
             )
-    for i, (label, raw) in enumerate(series.items()):
+    for i, (label, points) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        good = sorted(
-            (p for p in raw if math.isfinite(p[0]) and math.isfinite(p[1]))
-        )
+        good = sorted(points)
         if len(good) > 1:
             path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in good)
             parts.append(
@@ -231,11 +233,8 @@ def _chart(
 
 
 def render_coverage_chart(results: Sequence[MethodResult]) -> str:
-    series: dict[str, list[tuple[float, float]]] = {}
-    for r in sorted(results, key=_by_method_alpha):
-        series.setdefault(r.method, []).append((1.0 - r.alpha, r.mean_coverage))
     return _chart(
-        series,
+        results, lambda r: 1.0 - r.alpha, lambda r: r.mean_coverage,
         title="Empirical coverage vs nominal level",
         xlabel="nominal coverage (1 - alpha)",
         ylabel="empirical coverage",
@@ -244,11 +243,8 @@ def render_coverage_chart(results: Sequence[MethodResult]) -> str:
 
 
 def render_size_chart(results: Sequence[MethodResult]) -> str:
-    series: dict[str, list[tuple[float, float]]] = {}
-    for r in sorted(results, key=_by_method_alpha):
-        series.setdefault(r.method, []).append((r.mean_coverage, r.mean_size))
     return _chart(
-        series,
+        results, lambda r: r.mean_coverage, lambda r: r.mean_size,
         title="Interval size vs empirical coverage",
         xlabel="empirical coverage",
         ylabel="mean interval size",
@@ -256,11 +252,8 @@ def render_size_chart(results: Sequence[MethodResult]) -> str:
 
 
 def render_overlap_chart(rows: Sequence[OverlapStudyRow]) -> str:
-    series: dict[str, list[tuple[float, float]]] = {}
-    for r in sorted(rows, key=lambda r: (r.method, r.alpha, r.min_len)):
-        series.setdefault(r.method, []).append((r.delta_avg, r.coverage_gap))
     return _chart(
-        series,
+        rows, lambda r: r.delta_avg, lambda r: r.coverage_gap,
         title="Coverage gap vs group overlap",
         xlabel="mean pairwise Jaccard overlap",
         ylabel="coverage - (1 - alpha)",

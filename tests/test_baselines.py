@@ -202,6 +202,18 @@ class TestGroupSamplingBatched:
             group_sampling_threshold(cols, [1, 4], 0.2, scoring.score_kind(kind)[0], None,
                                      _rngs(2))
 
+    @pytest.mark.parametrize("kind, column, value", [
+        ("split", 0, np.nan), ("split", 1, -np.inf), ("cqr", 2, np.inf),
+    ])
+    def test_non_finite_input_names_the_calibration_row_and_column(self, kind, column, value):
+        # a bad value used to be named by its position in a block's score array
+        cols = self._cols(np.random.default_rng(39), 40, kind)
+        cols[column][37] = value
+        with pytest.raises(ValueError, match=(
+                rf"^calibration row 37, column {column}: {value} is not finite$")):
+            group_sampling_threshold(cols, [1] * 5 + [2] * 3, 0.2,
+                                     scoring.score_kind(kind)[0], None, _rngs(8))
+
     @pytest.mark.parametrize("sizes, message", [
         ([2, 0], "target 1 has 0"), ([-1, 3], "target 0 has -1"),
     ], ids=["zero", "negative"])

@@ -134,6 +134,28 @@ class TestOverlapStudy:
         ).read_bytes()
 
 
+class TestCommandBody:
+    """Every subcommand runs one body: its study writes the report, then the
+    body prints the rows of the results.csv written and a ``wrote`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "120", "--groups", "10"],
+        ["group-avg", "--data", "TABULAR", "--label", "y", "--group-by", "cat"],
+        ["path-cost", "--graph", "GRAPH", "--paths", "15"],
+        ["overlap-study", "--graph", "GRAPH", "--min-len-grid", "1,2", "--paths", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_prints_every_row_of_the_results_it_wrote(self, argv, grid_graph_csv,
+                                                      tiny_tabular_csv, tmp_path, capsys):
+        inputs = {"TABULAR": str(tiny_tabular_csv), "GRAPH": str(grid_graph_csv(k=4))}
+        out = tmp_path / "out"
+        rc = run_cli(*[inputs.get(a, a) for a in argv],
+                     "--alpha", "0.1,0.3", "--reps", "2", "--out", str(out))
+        assert rc == 0
+        rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) >= 3  # the header and a row per level
+        assert capsys.readouterr().out.splitlines() == rows + [f"wrote {out / 'results.csv'}"]
+
+
 class TestLogLevel:
     """``--log-level`` sets the lowest level of log records on stderr."""
 

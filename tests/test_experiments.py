@@ -1,15 +1,18 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ciarith import baselines
 from ciarith.baselines import (
     bonferroni_predict,
     group_sampling_predict,
     iqr_sigma,
     normal_hetero_iqr_predict,
     normal_homoscedastic_predict,
+    pooled_residual_sigma,
 )
 from ciarith.cia import (
     StrataSpec,
@@ -432,6 +435,68 @@ class TestRunExperiment:
         cfg = ExperimentConfig(alphas=(0.1,), reps=1, seed=0)
         with pytest.raises(ValueError, match="unlabeled"):
             run_experiment(g, PathSampling(n_paths=3), cfg)
+
+
+class TestAggregation:
+    """How reps fold into one result per (method, alpha). ``normal_homo``
+    calls ``pooled_residual_sigma`` once per rep, in rep order, so a patched
+    one sets each rep's outcome: "ok" keeps the real sigma, "fail" raises,
+    and "inf" makes every width of the rep infinite."""
+
+    CONFIG = ExperimentConfig(alphas=(0.2,), reps=6, seed=5,
+                              methods=("cia_split", "normal_homo"))
+
+    def _run(self, monkeypatch, plan):
+        steps = iter(plan)
+
+        def sigma(*cols):
+            step = next(steps)
+            if step == "fail":
+                raise ValueError("patched failure")
+            return math.inf if step == "inf" else pooled_residual_sigma(*cols)
+
+        monkeypatch.setattr(baselines, "pooled_residual_sigma", sigma)
+        ds, groups = generate_synthetic(240, 24, "gaussian", 8)
+        results = {r.method: r for r in run_experiment(ds, groups, self.CONFIG)}
+        assert next(steps, None) is None  # one call per rep
+        return results
+
+    def _alone(self, monkeypatch, rep, step="ok"):
+        """``normal_homo``'s result when ``rep`` is its only rep that succeeds."""
+        plan = ["fail"] * self.CONFIG.reps
+        plan[rep] = step
+        return self._run(monkeypatch, plan)["normal_homo"]
+
+    def test_failed_reps_are_left_out_of_the_count_and_the_means(self, monkeypatch):
+        alone = [self._alone(monkeypatch, rep) for rep in (1, 4)]
+        results = self._run(monkeypatch, ["fail", "ok", "fail", "fail", "ok", "fail"])
+        got = results["normal_homo"]
+        cov = np.array([r.mean_coverage for r in alone])
+        size = np.array([r.mean_size for r in alone])
+        assert got.reps == 2 and got.infinite_interval_count == 0
+        assert (got.mean_coverage, got.coverage_std) == (cov.mean(), cov.std())
+        assert (got.mean_size, got.size_std) == (size.mean(), size.std())
+        assert results["cia_split"].reps == self.CONFIG.reps
+
+    def test_method_failing_in_every_rep_has_no_row_and_is_logged(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="ciarith.experiments"):
+            results = self._run(monkeypatch, ["fail"] * self.CONFIG.reps)
+        assert set(results) == {"cia_split"}
+        assert "normal_homo at alpha=0.2 failed in every rep" in caplog.messages
+
+    def test_sizes_average_the_finite_reps_and_infinite_counts_add_up(self, monkeypatch):
+        plan = ["inf", "ok", "inf", "ok", "ok", "fail"]
+        got = self._run(monkeypatch, plan)["normal_homo"]
+        alone = [self._alone(monkeypatch, rep, step) for rep, step in enumerate(plan[:5])]
+        assert all(alone[r].mean_size == math.inf and alone[r].infinite_interval_count > 0
+                   for r in (0, 2))
+        cov = np.array([r.mean_coverage for r in alone])
+        size = np.array([alone[r].mean_size for r in (1, 3, 4)])
+        assert got.reps == 5
+        assert (got.mean_coverage, got.coverage_std) == (cov.mean(), cov.std())
+        assert (got.mean_size, got.size_std) == (size.mean(), size.std())
+        assert got.infinite_interval_count == sum(alone[r].infinite_interval_count
+                                                  for r in (0, 2))
 
 
 class TestConfigValidation:

@@ -662,8 +662,14 @@ class TestGraphValidation:
         edges = [fine, Edge(7, 1, 0, 1.0, **{"features": (0.3, 0.4), "label": 2.0, **bad})]
         with pytest.raises(ValueError, match=where):
             WeightedGraph(nodes=[0, 1], edges=edges)
-        unlabeled = WeightedGraph(nodes=[0, 1], edges=[fine, Edge(7, 1, 0, 1.0)])
-        assert math.isnan(unlabeled.labels[1]) and unlabeled.features is None
+        unlabeled = WeightedGraph(nodes=[0, 1], edges=[fine, Edge(7, 1, 0, 1.0, (0.3, 0.4))])
+        assert math.isnan(unlabeled.labels[1])
+
+    def test_partially_featured_graph_names_the_first_edge_without_features(self):
+        # features only on edges 0 and 2 used to leave the graph featureless
+        edges = [Edge(i, 0, 1, 1.0, features=None if i % 2 else (0.5,)) for i in range(4)]
+        with pytest.raises(ValueError, match="edge 1 has no features, but other edges have 1"):
+            WeightedGraph(nodes=[0, 1], edges=edges)
 
     def test_validate_path_detects_breaks(self):
         g = WeightedGraph(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -11,6 +12,7 @@ from ciarith.report import (
     emit_report,
     read_results_csv,
     render_coverage_chart,
+    render_overlap_chart,
     render_size_chart,
     write_overlap_report,
     write_results_csv,
@@ -115,6 +117,31 @@ class TestCharts:
             result("bonf_split", a, cov, size)
             for a, cov, size in [(0.01, 1.0, 50.0), (0.05, 0.99, 30.0), (0.1, 0.96, 20.0)]
         ]
+
+    def _overlap_rows(self):
+        return [
+            OverlapStudyRow(
+                min_len=m, method=method, alpha=alpha, delta_avg=0.01 * m + 0.1 * alpha,
+                delta_max=0.1 * m, coverage=0.9 - 0.005 * m,
+                coverage_gap=0.9 - 0.005 * m - (1.0 - alpha), mean_size=4.0, reps=10,
+            )
+            for method, alpha in [("group_split", 0.2), ("cia_split", 0.1), ("cia_split", 0.2)]
+            for m in (5, 1, 3)
+        ]
+
+    # sha256 of each chart from fixed inputs: chart bytes are output, so a
+    # change that moves any byte must update these on purpose
+    @pytest.mark.parametrize("render, records, digest", [
+        (render_coverage_chart, "_results",
+         "4ef56fe372ae2d30207769b84a01cc2d9f6e3781a3630901db88d1933d2adcc7"),
+        (render_size_chart, "_results",
+         "114dd9161a7a077b97b5325934d6a3a9ad897c5ad12cd6169bddc86a1e79ce7c"),
+        (render_overlap_chart, "_overlap_rows",
+         "9aa4e2534d3edf010ca411d4ec43f18cc52ae738dc82759788d8111ef6ee95cc"),
+    ], ids=["coverage", "size", "overlap"])
+    def test_chart_bytes_are_pinned(self, render, records, digest):
+        svg = render(getattr(self, records)())
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
     def test_coverage_chart_is_wellformed_xml(self):
         svg = render_coverage_chart(self._results())
