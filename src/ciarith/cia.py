@@ -335,9 +335,9 @@ def _record_pool(views, samples, target_group, score_kind):
             raise ValueError(f"{who} {gid} appears {ids.count(gid)} times among views")
         cal = [v.cal_members for v in views]
         sizes = np.fromiter(map(len, cal), dtype=np.int64, count=len(cal))
-        members = np.fromiter(chain.from_iterable(cal), dtype=np.int64, count=int(sizes.sum()))
+        members = list(chain.from_iterable(cal))  # looked up as the test side is
         cols = columns_at(samples, members, *fields)
-        scores = per_group(score, csr_offsets(sizes), np.arange(members.size), *cols)
+        scores = per_group(score, csr_offsets(sizes), np.arange(len(members)), *cols)
         sizes.flags.writeable = scores.flags.writeable = False
         pool = memo[score_kind] = _RecordPool(tuple(views), position, sizes, scores)
     t = pool.position[target_group]

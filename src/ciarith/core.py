@@ -564,11 +564,12 @@ def _prediction(group_id: int, alpha: float, lower, upper) -> IntervalPrediction
 
 
 @contextmanager
-def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+def _read_csv(path, required=()) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
     """Open a CSV as ``(header, rows)``: the stripped header, and an iterator
     of ``(line_no, row)`` over the non-blank rows.
 
-    An empty file, a header that repeats a column name, and a row whose
+    An empty file, a header that repeats a column name or lacks one of the
+    ``required`` columns (the first missing one is named), and a row whose
     field count differs from the header's raise ValueError. ``line_no`` is
     the file's own line number, blank lines included. Rows are read
     lazily, so a loader can check the header before any row.
@@ -587,6 +588,9 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
                     f"(columns {first[name]} and {col})"
                 )
             first[name] = col
+        for name in required:
+            if name not in first:
+                raise ValueError(f"{path}: column {name!r} not found in header")
 
         def rows():
             for row in reader:
@@ -601,24 +605,19 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
         yield header, rows()
 
 
-class _NotANumber(ValueError):
-    """A CSV token that does not parse as the number asked for."""
-
-
 def _parse_field(
     token: str, line_no: int, column: str, kind: type = float, finite: bool = True
 ):
     """CSV field ``token`` as a ``kind`` (int or float); ``column`` names it
     in errors, as in ``column 'c'``. A bad token raises ValueError reading
-    ``line N: column 'c': 'tok' is not numeric | an integer`` (as
-    :class:`_NotANumber`) or, for a nan or inf float unless ``finite`` is
-    False, ``... is not finite``.
+    ``line N: column 'c': 'tok' is not numeric | an integer`` or, for a nan
+    or inf float unless ``finite`` is False, ``... is not finite``.
     """
     try:
         value = kind(token)
     except ValueError:
         what = "an integer" if kind is int else "numeric"
-        raise _NotANumber(f"line {line_no}: {column}: {token!r} is not {what}") from None
+        raise ValueError(f"line {line_no}: {column}: {token!r} is not {what}") from None
     if kind is float and finite and not math.isfinite(value):
         raise ValueError(f"line {line_no}: {column}: {token!r} is not finite")
     return value

@@ -37,8 +37,8 @@ from .cia import (
 from .core import (
     IndexGroup,
     _check_finite,
+    _index_array,
     _integer,
-    _NotANumber,
     _parse_field,
     _read_csv,
     _rng,
@@ -323,11 +323,11 @@ class TabularDataset:
 
 
 def _is_number(token: str) -> bool:
-    """Whether ``token`` parses as a number; ``nan`` and ``inf`` do."""
+    """Whether ``token`` parses as :func:`_parse_field` parses a float; ``nan`` and ``inf`` do."""
     try:
-        _parse_field(token, 0, "")
-    except ValueError as exc:  # raised for nan and inf too
-        return not isinstance(exc, _NotANumber)
+        float(token)
+    except ValueError:
+        return False
     return True
 
 
@@ -348,10 +348,7 @@ def load_tabular_csv(
     bins = None if discretize_bins is None else _integer("discretize_bins", discretize_bins, 1)
     if label_column in grouping_columns:
         raise ValueError(f"label column {label_column!r} is also a grouping column")
-    with _read_csv(path) as (header, rows):
-        for col in [label_column, *grouping_columns]:
-            if col not in header:
-                raise ValueError(f"{path}: column {col!r} not found in header")
+    with _read_csv(path, [label_column, *grouping_columns]) as (header, rows):
         numbered = list(rows)
     n = len(numbered)
     if n == 0:
@@ -407,9 +404,13 @@ def build_groups_by_category(
         if c not in dataset.group_values:
             raise ValueError(f"grouping column {c!r} not present in dataset")
         cols.append(dataset.group_values[c])
-    idx = list(indices) if indices is not None else list(range(dataset.n_rows))
+    n = dataset.n_rows
+    idx = np.arange(n) if indices is None else _index_array("row position", indices)
+    bad = (idx < 0) | (idx >= n)
+    if bad.any():
+        raise ValueError(f"row position {idx[bad][0]} is outside [0, {n})")
     buckets: dict[tuple, list[int]] = {}
-    for i in idx:
+    for i in idx.tolist():
         buckets.setdefault(tuple(col[i] for col in cols), []).append(i)
     return [
         IndexGroup(group_id=gid, members=frozenset(buckets[key]))

@@ -277,8 +277,9 @@ def sample_path_groups(
     Each path is read from the full shortest-path tree rooted at its source
     (see :func:`dijkstra`, also for its tie rule). Pairs are drawn in blocks
     of ``min(K - accepted, retry_factor * K - drawn)``, which a one-by-one
-    loop would draw next whatever it accepts; a block's missing trees are
-    built in batches, then its pairs go through :func:`dijkstra` in order.
+    loop would draw next whatever it accepts, by one ``integers`` call; a
+    block's missing trees are built in batches, then its pairs go through
+    :func:`dijkstra` in order, one call per draw.
     The trees are cached on the graph for the last cost array used, so
     later calls with equal costs (the reps of an experiment) reuse them,
     and the costs are validated and compared once per call. A tree takes 4
@@ -295,9 +296,9 @@ def sample_path_groups(
     out: list[PathGroup] = []
     n, ids, drawn = graph.n_nodes, graph.node_ids.tolist(), 0
     while len(out) < K and drawn < budget:
-        pairs = [(int(rng.integers(n)), int(rng.integers(n - 1)))
-                 for _ in range(min(K - len(out), budget - drawn))]
-        drawn += len(pairs)
+        k = min(K - len(out), budget - drawn)
+        pairs = rng.integers(np.tile([n, n - 1], k)).reshape(k, 2).tolist()
+        drawn += k
         graph._trees_for(cost, [s for s, _ in pairs])
         for s, t in pairs:  # t is drawn from the n - 1 nodes other than s
             path = dijkstra(graph, ids[s], ids[t + (t >= s)], cost)

@@ -6,7 +6,8 @@ fixed palette, no timestamps), so identical runs produce identical files.
 Each table is one column spec: (CSV column, record field, parser) per
 column. The spec gives the header, the cells (floats with six decimals,
 everything else as is) and, for results, the reader. Every chart is drawn
-by one renderer, :func:`_chart`, from x and y getters and its labels.
+by one renderer, :func:`_chart`, from x and y getters and its labels, and
+every element of it but the root by one writer, :func:`_tag`.
 :func:`emit_report` and :func:`write_overlap_report` share one writer,
 :func:`_write_report`, for the directory, results.csv and the charts.
 """
@@ -53,7 +54,6 @@ _OVERLAP_COLUMNS = (
 )
 
 RESULTS_HEADER = tuple(name for name, _, _ in _RESULTS_COLUMNS)
-OVERLAP_HEADER = tuple(name for name, _, _ in _OVERLAP_COLUMNS)
 
 PALETTE = (
     "#1f77b4",
@@ -95,10 +95,7 @@ def read_results_csv(path) -> list[MethodResult]:
     raises ValueError naming it; a bad cell raises ValueError reading
     ``line N: column 'c': 'tok' is not numeric | an integer``.
     """
-    with _read_csv(path) as (header, rows):
-        for name in RESULTS_HEADER:
-            if name not in header:
-                raise ValueError(f"{path}: column {name!r} not found in header")
+    with _read_csv(path, RESULTS_HEADER) as (header, rows):
         cells = [
             (header.index(name), fld, parse, f"column {name!r}")
             for name, fld, parse in _RESULTS_COLUMNS
@@ -139,6 +136,15 @@ def _axis(values: Sequence[float]) -> tuple[float, float, list[float]]:
     return lo, hi, _ticks(lo + pad, hi - pad)
 
 
+def _tag(name: str, text=None, **attrs) -> str:
+    """One SVG element. Attributes keep their call order, a ``_`` in a name
+    is written as ``-``, a float with one decimal and any other value as
+    ``str``; an element without text is self-closing. Nothing is escaped."""
+    head = "".join(f' {k.replace("_", "-")}="{format(v, ".1f") if isinstance(v, float) else v}"'
+                   for k, v in attrs.items())
+    return f"<{name}{head}/>" if text is None else f"<{name}{head}>{text}</{name}>"
+
+
 def _chart(
     records,
     x: Callable,
@@ -172,62 +178,40 @@ def _chart(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
         f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
-        f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333"/>',
+        _tag("rect", width=_W, height=_H, fill="white"),
+        _tag("text", title, x=_W / 2, y=22, text_anchor="middle", font_size=15),
+        _tag("rect", x=_ML, y=_MT, width=plot_w, height=plot_h, fill="none", stroke="#333"),
     ]
     for t in x_ticks:
-        parts.append(
-            f'<line x1="{sx(t):.1f}" y1="{_MT + plot_h}" x2="{sx(t):.1f}" '
-            f'y2="{_MT + plot_h + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{sx(t):.1f}" y="{_MT + plot_h + 18}" '
-            f'text-anchor="middle">{t:.2f}</text>'
-        )
+        parts.append(_tag("line", x1=sx(t), y1=_MT + plot_h, x2=sx(t), y2=_MT + plot_h + 5,
+                          stroke="#333"))
+        parts.append(_tag("text", f"{t:.2f}", x=sx(t), y=_MT + plot_h + 18, text_anchor="middle"))
     for t in y_ticks:
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{sy(t):.1f}" x2="{_ML}" y2="{sy(t):.1f}" '
-            f'stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{sy(t) + 4:.1f}" text-anchor="end">{t:.2f}</text>'
-        )
-    parts.append(
-        f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{ylabel}</text>'
-    )
+        parts.append(_tag("line", x1=_ML - 5, y1=sy(t), x2=_ML, y2=sy(t), stroke="#333"))
+        parts.append(_tag("text", f"{t:.2f}", x=_ML - 8, y=sy(t) + 4, text_anchor="end"))
+    parts.append(_tag("text", xlabel, x=_ML + plot_w / 2, y=_H - 12, text_anchor="middle"))
+    parts.append(_tag("text", ylabel, x=18, y=_MT + plot_h / 2, text_anchor="middle",
+                      transform=f"rotate(-90 18 {_MT + plot_h / 2:.1f})"))
     if diagonal:
         d_lo = max(x_lo, y_lo)
         d_hi = min(x_hi, y_hi)
         if d_hi > d_lo:
-            parts.append(
-                f'<line x1="{sx(d_lo):.1f}" y1="{sy(d_lo):.1f}" x2="{sx(d_hi):.1f}" '
-                f'y2="{sy(d_hi):.1f}" stroke="#999" stroke-dasharray="5,4"/>'
-            )
+            parts.append(_tag("line", x1=sx(d_lo), y1=sy(d_lo), x2=sx(d_hi), y2=sy(d_hi),
+                              stroke="#999", stroke_dasharray="5,4"))
     for i, (label, points) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         good = sorted(points)
         if len(good) > 1:
             path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in good)
-            parts.append(
-                f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+            parts.append(_tag("polyline", points=path, fill="none", stroke=color,
+                              stroke_width=1.5))
         for x, y in good:
-            parts.append(
-                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="{color}"/>'
-            )
+            parts.append(_tag("circle", cx=sx(x), cy=sy(y), r=3, fill=color))
         ly = _MT + 14 + 16 * i
         lx = _ML + plot_w + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(f'<text x="{lx + 24}" y="{ly}">{label}</text>')
+        parts.append(_tag("line", x1=lx, y1=ly - 4, x2=lx + 18, y2=ly - 4, stroke=color,
+                          stroke_width=2))
+        parts.append(_tag("text", label, x=lx + 24, y=ly))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -221,6 +221,23 @@ class TestCiaPredict:
         iv = cia_predict(views2, samples2, 0, alpha=0.5)
         assert (iv.lower, iv.upper) == (8.0, 12.0)
 
+    @pytest.mark.parametrize("predict", [cia_predict, stratified_cia_predict])
+    @pytest.mark.parametrize("container", [SampleSet, lambda s: {x.index: x for x in s}],
+                             ids=["SampleSet", "dict"])
+    @pytest.mark.parametrize("side", ["cal", "test"])
+    def test_non_integer_member_is_an_unknown_index(self, predict, container, side):
+        # the pool looks its calibration members up as the target's test
+        # side is looked up: 1.5 is no sample index, not sample 1
+        samples = container([sample(i, y=float(i), pred=0.0) for i in range(1, 7)])
+        cal, test = ((1.5, 2), (3,)) if side == "cal" else ((1, 2), (1.5,))
+        views = [
+            GroupSplitView(0, cal_members=cal, test_members=test),
+            GroupSplitView(1, cal_members=(4,), test_members=()),
+            GroupSplitView(2, cal_members=(5, 6), test_members=()),
+        ]
+        with pytest.raises(ValueError, match=r"^unknown sample index 1\.5$"):
+            predict(views, samples, 0, alpha=0.5)
+
     def test_unknown_target_rejected(self):
         views, samples = _pool_fixture()
         with pytest.raises(ValueError, match="not found"):

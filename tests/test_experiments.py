@@ -82,6 +82,18 @@ class TestBuildGroups:
         groups = build_groups_by_category(ds, ["b"], indices=[0, 3])
         assert {frozenset(g.members) for g in groups} == {frozenset({0}), frozenset({3})}
 
+    @pytest.mark.parametrize("indices, message", [
+        ([0, -1], r"^row position -1 is outside \[0, 4\)$"),
+        ([9], r"^row position 9 is outside \[0, 4\)$"),
+        ([1.0], r"^row position: 1\.0 is not an integer$"),
+        (np.array([0.5]), r"^row position: 0\.5 is not an integer$"),
+    ], ids=["negative", "past-the-end", "whole-float", "float-array"])
+    def test_bad_indices_rejected(self, indices, message):
+        # a row position is not wrapped, truncated or left to IndexError
+        ds = self._ds(b=[0, 0, 1, 1])
+        with pytest.raises(ValueError, match=message):
+            build_groups_by_category(ds, ["b"], indices=indices)
+
     def test_missing_column(self):
         ds = self._ds(b=[0, 1])
         with pytest.raises(ValueError, match="not present"):
@@ -102,6 +114,17 @@ class TestLoadTabularCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="'y' not found"):
             load_tabular_csv(p, "y", ["a"])
+
+    @pytest.mark.parametrize("header, message", [
+        ("y,a", r"^.+: column 'g' not found in header$"),
+        ("a,b", r"^.+: column 'y' not found in header$"),  # the label is checked first
+        ("a,a", r"^.+: column 'a' repeated in the header \(columns 1 and 2\)$"),
+    ])
+    def test_header_check_names_the_first_fault(self, tmp_path, header, message):
+        p = tmp_path / "d.csv"
+        p.write_text(f"{header}\n1,2\n")
+        with pytest.raises(ValueError, match=message):
+            load_tabular_csv(p, "y", ["g", "h"])
 
     def test_non_numeric_label_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"

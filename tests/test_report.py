@@ -152,6 +152,11 @@ class TestCharts:
         svg = render_size_chart(self._results())
         ET.fromstring(svg)
 
+    def test_empty_legend_label_is_not_self_closing(self):
+        # only an element without text is self-closing; empty text is text
+        svg = render_coverage_chart([result("")])
+        assert '<text x="516" y="54"></text>' in svg.splitlines()
+
     def test_infinite_sizes_are_skipped_not_crashes(self):
         svg = render_size_chart([result(size=math.inf), result("x", 0.2, 0.95, 2.0)])
         ET.fromstring(svg)
