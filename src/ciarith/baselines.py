@@ -23,7 +23,9 @@ Group sampling draws each target's calibration groups from that target's
 own generator. The harness hands the core every target of a split at
 once, with one generator per target seeded in one batch: each is
 ``np.random.default_rng`` of the target's derived seed, so the draws, and
-every threshold, are those of a fresh generator per target.
+every threshold, are those of a fresh generator per target. A draw
+shuffles a copy of ``arange(n_cal)`` in place, as
+``Generator.permutation(n_cal)`` does.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .core import (
     IntervalPrediction,
     LabeledSample,
     _check_finite,
+    _index_array,
     _integer,
     _prediction,
     _rng,
@@ -49,7 +52,9 @@ from .core import (
     interval_from_threshold,
     kth_smallest,
     per_group,
+    row_sum,
     score_threshold,
+    size_classes,
 )
 
 __all__ = [
@@ -71,7 +76,8 @@ logger = logging.getLogger(__name__)
 _NORMAL = NormalDist()
 # z_{0.75} - z_{0.25}: converts an interquartile range to a normal sigma
 IQR_TO_SD = _NORMAL.inv_cdf(0.75) - _NORMAL.inv_cdf(0.25)
-# Drawn indices per block of group-sampling targets: 8 MiB per int64 array.
+# Cells per block of group-sampling targets, n_cal to a target: 8 MiB per
+# int64 array of draws, and per float array of gathered terms.
 _DRAW_BLOCK_CELLS = 2**20
 
 
@@ -92,21 +98,26 @@ def group_sampling_threshold(
 
     ``cols`` holds the columns ``score`` reads over the n_cal calibration
     rows: (y, point_pred) for the split score, (y, quant_lo, quant_hi)
-    for the quantile-band score. A nan or inf in a column is a ValueError
-    reading ``calibration row r, column j: v is not finite``.
+    for the quantile-band score. ``score`` is one of :mod:`ciarith.scoring`'s
+    score functions, or anything with their ``terms`` and ``combine``. A
+    nan or inf in a column is a ValueError reading ``calibration row r,
+    column j: v is not finite``.
     Target t has test size ``sizes[t]`` = m and draws its K size-m groups
     as the first K·m entries of ``rngs[t].permutation(n_cal)``: ``rngs``
     holds one generator per target. K defaults to floor(n_cal / m); a
     larger request is reduced with a diagnostic since groups are drawn
     without replacement.
 
-    Targets are taken by test-size class, in blocks of at most
-    ``_DRAW_BLOCK_CELLS`` drawn indices: a block's draws fill one (targets x
-    K x m) index array, the columns are gathered once, and each row's scores
-    and threshold equal the one-target computation bit for bit.
+    Targets are taken by test-size class, then in target order, in blocks
+    of at most ``_DRAW_BLOCK_CELLS // n_cal`` targets, so a shared
+    generator's draws compose across blocks. Each target shuffles its row
+    of one (targets x n_cal) copy of ``arange(n_cal)`` in place; the
+    score's terms, formed once over the calibration rows, are gathered at
+    each row's first K·m entries, and each target's scores and threshold
+    equal the one-target computation bit for bit.
     """
     check_alpha(alpha)
-    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = _index_array("test size", sizes)
     if len(rngs) != sizes.size:
         raise ValueError(f"group sampling needs one generator per target: "
                          f"{len(rngs)} generators for {sizes.size} targets")
@@ -126,6 +137,7 @@ def group_sampling_threshold(
             f"group sampling needs a test size of at least 1, target {t} has {sizes[t]}"
         )
     K = None if K is None else _integer("K", K, 1)
+    terms = score.terms(*(np.asarray(c, dtype=float) for c in cols))
     q = np.empty(sizes.size)
     for m in np.unique(sizes).tolist():
         targets = np.flatnonzero(sizes == m)
@@ -134,13 +146,13 @@ def group_sampling_threshold(
             if K > k_groups:
                 logger.warning("group sampling: K reduced from %d to %d", K, k_groups)
             k_groups = min(K, k_groups)
-        per_block = max(1, _DRAW_BLOCK_CELLS // (k_groups * m))
+        per_block = max(1, _DRAW_BLOCK_CELLS // n_cal)
         for block in np.split(targets, range(per_block, targets.size, per_block)):
-            rows = np.empty((block.size, k_groups * m), dtype=np.int64)
-            for r, t in enumerate(block.tolist()):
-                rows[r] = rngs[t].permutation(n_cal)[: k_groups * m]
-            scores = score(*(c[rows.reshape(block.size, k_groups, m)] for c in cols))
-            q[block] = kth_smallest(scores, alpha)
+            draws = np.tile(np.arange(n_cal), (block.size, 1))
+            for row, t in zip(draws, block.tolist()):
+                rngs[t].shuffle(row)
+            rows = draws[:, : k_groups * m].reshape(block.size, k_groups, m)
+            q[block] = kth_smallest(score.combine(*(row_sum(c[rows]) for c in terms)), alpha)
     return q
 
 
@@ -168,7 +180,7 @@ def group_sampling_predict(
     if m == 0:
         return _prediction(group_id, alpha, [0.0], [0.0])
     cols = extract_column(cal_samples, *fields)
-    sums = extract_column(target_test_samples, *fields[1:]).sum(axis=-1, keepdims=True)
+    sums = row_sum(extract_column(target_test_samples, *fields[1:]))[:, None]
     q = group_sampling_threshold(cols, [m], alpha, score, K, [rng])
     return _prediction(group_id, alpha, *interval_from_threshold(q, sums))
 
@@ -210,7 +222,7 @@ def iqr_sigma(q25, q75) -> np.ndarray:
 
 def sum_of_squares(sigma: np.ndarray) -> np.ndarray:
     """Summed per-sample variances over the last axis."""
-    return np.sum(sigma**2, axis=-1)
+    return row_sum(sigma**2)
 
 
 def normal_homoscedastic_predict(
@@ -230,7 +242,7 @@ def normal_homoscedastic_predict(
     if m == 0:
         return _prediction(group_id, alpha, [0.0], [0.0])
     sigma = pooled_residual_sigma(*extract_column(cal_samples, "label", "point_pred"))
-    center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
+    center = row_sum(extract_column(target_test_samples, "point_pred"))
     return _prediction(group_id, alpha, *normal_interval(center, np.sqrt([m]) * sigma, alpha))
 
 
@@ -258,7 +270,7 @@ def normal_hetero_iqr_predict(
         raise ValueError(f"sample {target_test_samples[k].index} has non-finite "
                          f"{('lower', 'upper')[j]} quartile {quarts[k, j]}")
     spread = np.sqrt(sum_of_squares(iqr_sigma(quarts[:, 0], quarts[:, 1])[None]))
-    center = extract_column(target_test_samples, "point_pred").sum(axis=-1)
+    center = row_sum(extract_column(target_test_samples, "point_pred"))
     return _prediction(group_id, alpha, *normal_interval(center, spread, alpha))
 
 
@@ -269,19 +281,19 @@ def normal_hetero_iqr_predict(
 
 def bonferroni_interval(
     q_by_size: Mapping[int, float],
-    test: tuple[np.ndarray, np.ndarray],
+    test: tuple,
     test_cols: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum the per-sample bands [lo_i - q, hi_i + q] over each target.
 
-    ``test`` is the CSR (offsets, members) of the targets' test sides over
-    the rows of ``test_cols``: (point_pred,), a band of zero width, or
-    (quant_lo, quant_hi). A target of test size m uses the threshold
-    ``q_by_size[m]``, so each size class shares one.
+    ``test`` is the :func:`~ciarith.core.size_classes` plan of the
+    targets' test sides over the rows of ``test_cols``: (point_pred,), a
+    band of zero width, or (quant_lo, quant_hi). A target of test size m
+    uses the threshold ``q_by_size[m]``, so each size class shares one.
     """
     lo, hi = test_cols[0], test_cols[-1]
-    lower = per_group(lambda c: np.sum(c - q_by_size[c.shape[-1]], axis=-1), *test, lo)
-    upper = per_group(lambda c: np.sum(c + q_by_size[c.shape[-1]], axis=-1), *test, hi)
+    lower = per_group(lambda c: row_sum(c - q_by_size[c.shape[-1]]), test, lo)
+    upper = per_group(lambda c: row_sum(c + q_by_size[c.shape[-1]]), test, hi)
     return interval_bounds(lower, upper)
 
 
@@ -307,6 +319,5 @@ def bonferroni_predict(
     per_sample = score(*extract_column(cal_samples, *fields)[:, :, None])
     q = {m: score_threshold(per_sample, alpha / m).value}
     test_cols = extract_column(target_test_samples, *fields[1:])
-    one_group = (np.array([0, m]), np.arange(m))
-    bounds = bonferroni_interval(q, one_group, test_cols)
+    bounds = bonferroni_interval(q, size_classes(np.array([0, m]), np.arange(m)), test_cols)
     return _prediction(group_id, alpha, *bounds)

@@ -61,6 +61,8 @@ from .core import (
     leave_out_positions,
     loo_thresholds,
     per_group,
+    row_sum,
+    size_classes,
 )
 
 __all__ = [
@@ -278,7 +280,7 @@ def stratified_thresholds(
     targets are grouped by that pair and each pair's pool is sorted once.
     """
     check_alpha(alpha)
-    test_sizes = np.asarray(test_sizes, dtype=np.int64)
+    test_sizes = _index_array("test size", test_sizes)
     if np.any(test_sizes < 1):
         raise ValueError("stratified prediction needs a non-empty test side")
     buckets = strata.bucket_index_array(cal_sizes)
@@ -337,12 +339,13 @@ def _record_pool(views, samples, target_group, score_kind):
         sizes = np.fromiter(map(len, cal), dtype=np.int64, count=len(cal))
         members = list(chain.from_iterable(cal))  # looked up as the test side is
         cols = columns_at(samples, members, *fields)
-        scores = per_group(score, csr_offsets(sizes), np.arange(len(members)), *cols)
+        plan = size_classes(csr_offsets(sizes), np.arange(len(members)))
+        scores = per_group(score, plan, *cols)
         sizes.flags.writeable = scores.flags.writeable = False
         pool = memo[score_kind] = _RecordPool(tuple(views), position, sizes, scores)
     t = pool.position[target_group]
     test = columns_at(samples, views[t].test_members, *fields[1:])
-    return pool, t, test.sum(axis=-1, keepdims=True)
+    return pool, t, row_sum(test)[:, None]
 
 
 def cia_predict(

@@ -49,6 +49,7 @@ from .core import (
     per_group,
     row_sum,
     score_threshold,
+    size_classes,
 )
 from .graph import WeightedGraph, sample_path_groups
 from .models import fit_arrays, neighbor_labels, predict_point, quantile_index
@@ -571,7 +572,7 @@ class _Session:
             raise ValueError(f"rep {rep}: no usable groups")
         split = self._split(rep, offsets, members)
         deltas = _overlap_deltas(offsets, members) if self.collect_deltas else None
-        true_sums = per_group(row_sum, *split.test, self.prep.y)
+        true_sums = per_group(row_sum, split.test, self.prep.y)
 
         config = self.config
         outcome = np.full((len(config.methods), len(config.alphas), 3), math.nan)
@@ -593,10 +594,11 @@ class _Session:
         return outcome, deltas
 
     def _split(self, rep: int, offsets: np.ndarray, members: np.ndarray) -> _SplitArrays:
-        """Split the rep's CSR groups into calibration and test sides."""
+        """Split the rep's CSR groups into calibration and test sides, and
+        plan each side's size classes once for every reduction of the rep."""
         config, prep = self.config, self.prep
         assignment = symmetric_split(
-            prep.universe.tolist(), derive_seed(config.seed, _STREAM_SPLIT, rep), config.split_mode
+            prep.universe, derive_seed(config.seed, _STREAM_SPLIT, rep), config.split_mode
         )
         is_cal = np.zeros(prep.y.size, dtype=bool)
         is_cal[np.fromiter(assignment.cal, dtype=np.int64, count=len(assignment.cal))] = True
@@ -611,8 +613,10 @@ class _Session:
         if any(m.endswith("_strat") for m in config.methods):
             strata = StrataSpec.from_cal_sizes(n_cal)
         return _SplitArrays(
-            cal=(csr_offsets(n_cal), members[on_cal]),
-            test=(csr_offsets(n_test[targets]), members[~on_cal]),
+            cal=size_classes(csr_offsets(n_cal), members[on_cal]),
+            test=size_classes(csr_offsets(n_test[targets]), members[~on_cal]),
+            cal_sizes=n_cal,
+            test_sizes=n_test[targets],
             targets=targets,
             cal_rows=prep.universe[is_cal[prep.universe]],
             strata=strata,
@@ -626,17 +630,17 @@ class _Session:
         cols = (prep.y, prep.y_hat) if kind == "split" else (prep.y, *prep.quant[alpha])
         if (kind, alpha) not in split.pooled:
             split.pooled[(kind, alpha)] = (
-                per_group(score, *split.cal, *cols),
-                [per_group(row_sum, *split.test, c) for c in cols[1:]],
+                per_group(score, split.cal, *cols),
+                [per_group(row_sum, split.test, c) for c in cols[1:]],
             )
         scores, sums = split.pooled[(kind, alpha)]
-        sizes = np.diff(split.test[0])
+        sizes = split.test_sizes
         cal_cols = [c[split.cal_rows] for c in cols]
         if method == "normal_homo":
             sigma = baselines.pooled_residual_sigma(*cal_cols)
             return baselines.normal_interval(sums[0], np.sqrt(sizes) * sigma, alpha)
         if method == "normal_hetero":
-            spread = np.sqrt(per_group(baselines.sum_of_squares, *split.test, prep.sigma_iqr))
+            spread = np.sqrt(per_group(baselines.sum_of_squares, split.test, prep.sigma_iqr))
             return baselines.normal_interval(sums[0], spread, alpha)
         if method.startswith("bonf_"):
             per_sample = score(*(c[:, None] for c in cal_cols))
@@ -651,7 +655,7 @@ class _Session:
             q = baselines.group_sampling_threshold(cal_cols, sizes, alpha, score, None, rngs)
         elif method.endswith("_strat"):
             q = stratified_thresholds(
-                scores, np.diff(split.cal[0]), sizes, split.targets, split.strata, alpha
+                scores, split.cal_sizes, sizes, split.targets, split.strata, alpha
             )
         else:
             q = loo_thresholds(scores, alpha, split.targets)
@@ -662,8 +666,10 @@ class _Session:
 class _SplitArrays:
     """One rep's calibration/test split of the groups, as arrays."""
 
-    cal: tuple[np.ndarray, np.ndarray]  # CSR calibration sides of all groups
-    test: tuple[np.ndarray, np.ndarray]  # CSR test sides of the targets
+    cal: tuple  # size-class plan (core.size_classes) of all groups' calibration sides
+    test: tuple  # size-class plan of the targets' test sides
+    cal_sizes: np.ndarray  # calibration-side size of every group
+    test_sizes: np.ndarray  # test-side size of every target
     targets: np.ndarray  # positions of the groups with a non-empty test side
     cal_rows: np.ndarray  # every calibration row, sorted
     strata: StrataSpec | None  # from all groups' calibration sizes

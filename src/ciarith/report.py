@@ -126,11 +126,13 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def _axis(values: Sequence[float]) -> tuple[float, float, list[float]]:
     """(low end, high end, ticks) of an axis over ``values``: their range,
-    widened to 1 when it is empty or flat, then padded by 5% on each side;
+    widened to 1 when it is empty or flat (to a tenth of the value where
+    ±0.5 rounds away, from about 1e16 on), then padded by 5% on each side;
     the ticks span the range before padding."""
     lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
     if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5
+        half = 0.5 if lo - 0.5 < lo and hi < hi + 0.5 else 0.05 * abs(hi)
+        lo, hi = lo - half, hi + half
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     return lo, hi, _ticks(lo + pad, hi - pad)

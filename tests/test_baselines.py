@@ -176,6 +176,35 @@ class TestGroupSamplingBatched:
             got, want = self._both(self._cols(rng, 60, kind), sizes, 0.1, kind, None, seeds)
             assert got.tobytes() == want.tobytes(), kind
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["separate", "shared"])
+    @pytest.mark.parametrize("cells", [1, 61, 2**20])  # blocks of 1, 2 and all 7 targets
+    def test_in_place_shuffle_draws_each_targets_permutation(self, monkeypatch, shared, cells):
+        # Generator.permutation(n) is shuffle(arange(n)): target t's groups are
+        # permutation(n_cal)[:K·m], drawn by size class, then target, from its
+        # own generator or from one shared one
+        monkeypatch.setattr(baselines, "_DRAW_BLOCK_CELLS", cells)
+        n_cal, sizes = 30, np.array([1, 3, 1, 2, 7, 1, 2])
+        drawn = []
+
+        class RowNumbers:  # terms: the calibration row numbers; combine: record their sums
+            terms = staticmethod(lambda rows: (rows,))
+
+            @staticmethod
+            def combine(sums):
+                drawn.extend(sums.ravel().tolist())
+                return sums
+
+        rngs = [np.random.default_rng(7)] * sizes.size if shared else _rngs(sizes.size)
+        group_sampling_threshold([np.arange(n_cal, dtype=float)], sizes, 0.5, RowNumbers,
+                                 None, rngs)
+        shared_rng, want = np.random.default_rng(7), []
+        for t in np.argsort(sizes, kind="stable").tolist():
+            m = int(sizes[t])
+            rng = shared_rng if shared else np.random.default_rng(t)
+            groups = rng.permutation(n_cal)[: n_cal // m * m].reshape(-1, m)
+            want.extend(groups.sum(axis=1).tolist())
+        assert drawn == want
+
     def test_infinite_thresholds_where_k_exceeds_the_draws(self):
         rng = np.random.default_rng(32)
         cols = self._cols(rng, 30, "split")

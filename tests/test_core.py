@@ -21,14 +21,17 @@ from ciarith.core import (
     Threshold,
     columns_at,
     conformal_quantile,
+    csr_offsets,
     extract_column,
     group_csr,
     group_sum,
     interval_bounds,
     kth_smallest,
     per_group,
+    row_sum,
     samples_at,
     score_threshold,
+    size_classes,
 )
 
 
@@ -196,8 +199,9 @@ class TestIntervalBounds:
             for start, g in zip(np.cumsum([0] + [len(g) for g in groups]), groups)
         )
         pred = np.concatenate(groups)
-        assert _unchanged(per_group(lambda c: np.sum(c - q, axis=-1), offsets, members, pred),
-                          per_group(lambda c: np.sum(c + q, axis=-1), offsets, members, pred))
+        plan = size_classes(offsets, members)
+        assert _unchanged(per_group(lambda c: row_sum(c - q), plan, pred),
+                          per_group(lambda c: row_sum(c + q), plan, pred))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_VALUES, _PADS), min_size=1, max_size=8), _ALPHAS)
@@ -247,6 +251,78 @@ class TestGroupSum:
     def test_unknown_field_is_an_error(self):
         with pytest.raises(ValueError, match="unknown field"):
             group_sum([], "nope")
+
+
+# ---------------------------------------------------------------------------
+# Group sums: row_sum replays np.sum's adds; per_group reduces through a plan
+# ---------------------------------------------------------------------------
+
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 5e-324])
+
+
+def _same_sums(got, want):
+    """Equal bit for bit but for a nan's sign bit, which operand order sets."""
+    got, want = np.asarray(got), np.asarray(want)
+    real = ~np.isnan(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got)[real], np.signbit(want)[real]))
+
+
+def _order_sensitive_arrays(rng, shape):
+    """Arrays of ``shape`` whose row sums depend on the order of the adds:
+    mixed magnitudes, then with specials (±0, ±inf, nan, 1.7e308), signed
+    zeros with every third row all -0.0, and sums that overflow."""
+    mixed = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    special = mixed.copy()
+    hit = rng.random(shape) < 0.05
+    special[hit] = rng.choice(_SPECIAL, hit.sum())
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if zeros.size:
+        zeros.reshape(-1, shape[-1])[::3] = -0.0
+    overflow = np.where(rng.random(shape) < 0.3, 1.7e308, mixed)
+    return mixed, special, zeros, overflow
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_equals_numpy_sum_bit_for_bit_at_every_length(self, ndim):
+        # lengths on both sides of 8, of the 16 where np.sum takes over, of
+        # 128 (numpy's pairwise block) and of every multiple of 8; rows of
+        # up to 15 elements take the column adds from 2n^2 rows on
+        rng = np.random.default_rng(ndim)
+        for n in range(301):
+            rows = 2 * n * n + 5 if n < 16 else 9
+            shapes = {1: [(n,)], 2: [(rows, n), (4, n)], 3: [(3, rows // 3 + 1, n), (2, 2, n)]}
+            for shape in shapes[ndim]:
+                for x in _order_sensitive_arrays(rng, shape):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got, want = row_sum(x), np.sum(x, axis=-1)
+                    assert _same_sums(got, want), (n, shape)
+
+    def test_other_layouts_go_to_numpy_sum(self):
+        x = np.asfortranarray(_order_sensitive_arrays(np.random.default_rng(1), (300, 12))[0])
+        assert _same_sums(row_sum(x), np.sum(x, axis=-1))
+
+
+class TestPerGroup:
+    def test_plan_reduces_each_group_as_its_own_sum(self):
+        rng = np.random.default_rng(8)
+        sizes = rng.integers(0, 20, 3000)  # about 150 groups of each size, size 0 included
+        offsets = csr_offsets(sizes)
+        members = rng.integers(0, 500, offsets[-1])
+        a, b = _order_sensitive_arrays(rng, (2, 500))[0]
+        plan = size_classes(offsets, members)
+        assert [rows.shape[1] for _, rows in plan] == list(range(20))
+        groups = [members[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+        want = np.array([np.sum(a[g]) for g in groups])
+        assert per_group(row_sum, plan, a).tobytes() == want.tobytes()
+        want = np.array([np.sum(a[g] - b[g]) for g in groups])
+        assert per_group(lambda x, y: row_sum(x - y), plan, a, b).tobytes() == want.tobytes()
+
+    def test_no_groups(self):
+        plan = size_classes(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert plan == () and per_group(row_sum, plan, np.ones(3)).shape == (0,)
 
 
 class TestDomainTypes:

@@ -11,6 +11,7 @@ cases hypothesis draws.
 
 import dataclasses
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from ciarith.baselines import (
     bonferroni_predict,
     group_sampling_predict,
+    group_sampling_threshold,
     iqr_sigma,
     normal_hetero_iqr_predict,
     normal_homoscedastic_predict,
@@ -53,6 +55,7 @@ from ciarith.experiments import (
     _Session,
     derive_seed,
 )
+from ciarith.scoring import split_score
 
 _NORMAL = NormalDist()
 SEED = 5
@@ -454,6 +457,39 @@ def test_leave_out_position_outside_the_pool_is_named(engine, at):
             loo_thresholds(scores, 0.2, [0, at])
         else:
             stratified_thresholds(scores, [1, 2, 3, 4, 5], [1, 1], [0, at], StrataSpec((2,)), 0.2)
+
+
+@pytest.mark.parametrize("value", [1.5, True, np.float64(1.0)])
+@pytest.mark.parametrize("engine", ["loo", "strat"])
+def test_leave_out_position_that_is_not_an_integer_is_named(engine, value):
+    # 1.5 and True once read as position 1
+    scores = np.arange(1.0, 5.0)
+    message = rf"^leave-out position: {re.escape(repr(value))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        if engine == "loo":
+            loo_thresholds(scores, 0.5, [value])
+        else:
+            stratified_thresholds(scores, [1, 2, 3, 4], [1], [value], StrataSpec((2,)), 0.5)
+
+
+def test_leave_out_arrays_pass_only_as_integers():
+    # signed-integer arrays take the fast path; bool and float arrays do not
+    scores = np.arange(1.0, 5.0)
+    want = loo_thresholds(scores, 0.5, [1, 3])
+    assert np.array_equal(loo_thresholds(scores, 0.5, np.array([1, 3], dtype=np.int32)), want)
+    for bad, shown in [(np.array([True, False]), "True"), (np.array([1.5, 3.0]), "1.5")]:
+        with pytest.raises(ValueError, match=rf"^leave-out position: {shown} is not an integer$"):
+            loo_thresholds(scores, 0.5, bad)
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+def test_test_size_that_is_not_an_integer_is_named(value):
+    message = rf"^test size: {re.escape(repr(value))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        stratified_thresholds(np.arange(4.0), [1, 2, 3, 4], [value], [0], StrataSpec((2,)), 0.5)
+    with pytest.raises(ValueError, match=message):
+        group_sampling_threshold([np.zeros(4), np.zeros(4)], [value], 0.5, split_score, None,
+                                 [np.random.default_rng(0)])
 
 
 def test_stratified_thresholds_check_alpha_where_no_target_is_in_its_pool():

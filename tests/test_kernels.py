@@ -353,8 +353,8 @@ def test_knn_peak_memory_stays_within_budget():
 
 # ru_maxrss budget of a child that draws the calibration groups of 2,000
 # group-sampling targets of test size 1 over 6,000 calibration rows. One
-# (targets x K·m) index array is 96 MB, and so is each gathered column and
-# score temporary; in blocks of baselines._DRAW_BLOCK_CELLS each is 8 MiB.
+# (targets x n_cal) array of draws is 96 MB, and so is each gathered term and
+# its row sums; in blocks of baselines._DRAW_BLOCK_CELLS cells each is 8 MiB.
 GROUP_SAMPLING_MEMORY_BUDGET_MB = 150
 
 _GROUP_SAMPLING_PROBE = """

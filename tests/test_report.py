@@ -161,6 +161,17 @@ class TestCharts:
         svg = render_size_chart([result(size=math.inf), result("x", 0.2, 0.95, 2.0)])
         ET.fromstring(svg)
 
+    @pytest.mark.parametrize("size", [1e16, -1e16, 1e300])
+    def test_flat_axis_at_large_magnitude_keeps_a_span(self, tmp_path, size):
+        # ±0.5 rounds away from about 1e16 on, which left a zero span to divide by
+        flat = MethodResult(method="cia", alpha=0.1, mean_coverage=0.9, coverage_std=0.0,
+                            mean_size=size, size_std=0.0, reps=3, infinite_interval_count=0)
+        paths = emit_report([flat], tmp_path)
+        root = ET.fromstring(Path(paths["size_chart"]).read_text())
+        coords = [float(v) for el in root.iter() for k, v in el.attrib.items()
+                  if k in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")]
+        assert coords and all(0 <= c <= 640 for c in coords)
+
     def test_emit_report_writes_three_files(self, tmp_path):
         paths = emit_report(self._results(), tmp_path / "out")
         for p in paths.values():
