@@ -11,22 +11,23 @@ size falls in the same size bucket as the target's test-side size, merging
 adjacent buckets when a bucket is too thin to calibrate on.
 
 The module has two layers. The array engine (:func:`stratified_thresholds`,
-with the leave-one-out thresholds and the interval rule
-:func:`~ciarith.core.interval_from_threshold` of :mod:`ciarith.core`)
+the one place a CIA threshold is taken, whose one-bucket case is the
+unstratified pool, and :func:`~ciarith.core.interval_from_threshold`)
 computes the bounds of every target of a split at once; the experiment
 harness calls it directly. For both score kinds an interval is the
 target's summed band padded by its threshold (a split band has zero
-width). The record adapters (:func:`cia_predict`,
-:func:`stratified_cia_predict`) gather the fields of the calibration and
-test members with :func:`~ciarith.core.columns_at`, by position from a
-:class:`~ciarith.core.SampleSet`'s columns, run the engine for one
-target, and wrap the result in an :class:`IntervalPrediction`. As with
-every record-level predictor, a target whose test side is empty gets
-[0, 0], the exact sum of no labels, once alpha is checked and the target
-found among the views. A split's pool is scored once: a ``SampleSet``
-keeps its last pool per score kind and reuses it while the views passed
-are the same objects in the same order (an ``is`` test per view), so
-each further target of that split pays only its own test-side sum and
+width). The record adapter :func:`stratified_cia_predict` gathers the
+fields of the calibration and test members with
+:func:`~ciarith.core.columns_at`, by position from a
+:class:`~ciarith.core.SampleSet`'s columns, runs the engine for one
+target, and wraps the result in an :class:`IntervalPrediction`;
+:func:`cia_predict` is that adapter with one bucket. As with every
+record-level predictor, a target whose test side is empty gets [0, 0],
+the exact sum of no labels, once alpha is checked and the target found
+among the views. A split's pool is scored once: a ``SampleSet`` keeps
+its last pool per score kind and reuses it while the views passed are
+the same objects in the same order (an ``is`` test per view), so each
+further target of that split pays only its own test-side sum and
 threshold. A plain mapping is rescored on every call.
 """
 
@@ -48,6 +49,7 @@ from .core import (
     SampleSet,
     SplitAssignment,
     _check_group,
+    _checked_scores,
     _index_array,
     _integer,
     _prediction,
@@ -143,7 +145,7 @@ class StrataSpec:
     def from_cal_sizes(cls, cal_sizes) -> "StrataSpec":
         """Cuts at the lower quartiles of the positive calibration-side
         sizes; equal cuts collapse, so fewer than four buckets may result."""
-        sizes = np.asarray(cal_sizes, dtype=int)
+        sizes = _sizes("calibration size", cal_sizes)
         sizes = sizes[sizes > 0]
         cuts = np.quantile(sizes, (0.25, 0.5, 0.75), method="lower").tolist() if sizes.size else []
         return cls(tuple(sorted(set(map(int, cuts)))))
@@ -153,8 +155,10 @@ class StrataSpec:
         return len(self.cuts) + 1
 
     def bucket_index_array(self, sizes) -> np.ndarray:
-        """The bucket of each size."""
-        return np.searchsorted(self.cuts, np.asarray(sizes, dtype=int))
+        """The bucket of each size; a scalar size gives a scalar bucket."""
+        if np.isscalar(sizes):
+            return self.bucket_index_array([sizes])[0]
+        return np.searchsorted(self.cuts, _sizes("size", sizes))
 
     def merged_range(self, counts, j: int) -> tuple[int, int]:
         """Merge buckets around ``j`` until the pooled count meets the bound.
@@ -177,8 +181,18 @@ class StrataSpec:
         return lo, hi
 
 
+def _sizes(name: str, values) -> np.ndarray:
+    """Sizes under :func:`~ciarith.core._index_array`'s rule (a float or a
+    bool is a ValueError naming it); ValueError names a negative size."""
+    sizes = _index_array(name, values)
+    if sizes.min(initial=0) < 0:
+        raise ValueError(f"{name} must be >= 0, got {sizes[sizes < 0][0]}")
+    return sizes
+
+
 # the modes :func:`symmetric_split` implements
 SPLIT_MODES = ("balanced", "bernoulli")
+_ONE_BUCKET = StrataSpec(())  # the unstratified pool: every group pools with every target
 
 
 def symmetric_split(
@@ -272,19 +286,33 @@ def stratified_thresholds(
 ) -> np.ndarray:
     """Threshold of each target from the size-compatible part of the pool.
 
-    ``scores`` and ``cal_sizes`` cover the pool's groups. Target i has
-    test-side size ``test_sizes[i]`` and is pool group ``leave_out[i]``,
-    whose own score is left out. Leaving a target out lowers the count of
-    its own calibration bucket by one, so its merged bucket range depends
-    only on (bucket of its test size, bucket of its calibration size):
-    targets are grouped by that pair and each pair's pool is sorted once.
+    ``scores`` and ``cal_sizes`` (integers >= 0) cover the pool's groups.
+    Target i has test-side size ``test_sizes[i]`` (an integer >= 1) and is
+    pool group ``leave_out[i]``, whose own score is left out. Every spec
+    checks all inputs and both length pairings before any threshold.
+
+    One bucket is the unstratified pool: every target sits in it, so the
+    result is :func:`~ciarith.core.loo_thresholds` of the whole pool, taken
+    directly, since the merge below gives the same bits at two to three
+    times the cost. Otherwise, leaving a target out lowers the count of its
+    own calibration bucket by one, so its merged bucket range depends only
+    on (bucket of its test size, bucket of its calibration size): targets
+    are grouped by that pair and each pair's pool is sorted once.
     """
-    check_alpha(alpha)
+    scores = _checked_scores(scores, alpha)
+    cal_sizes = _sizes("calibration size", cal_sizes)
     test_sizes = _index_array("test size", test_sizes)
-    if np.any(test_sizes < 1):
+    if test_sizes.min(initial=1) < 1:
         raise ValueError("stratified prediction needs a non-empty test side")
+    if scores.size != cal_sizes.size:
+        raise ValueError(f"{scores.size} scores for {cal_sizes.size} calibration sizes")
+    leave_out = _index_array("leave-out position", leave_out)
+    if test_sizes.size != leave_out.size:
+        raise ValueError(f"{test_sizes.size} test sizes for {leave_out.size} leave-out positions")
+    if strata.n_buckets == 1:  # loo_thresholds checks the positions' range
+        return loo_thresholds(scores, alpha, leave_out)
+    leave_out = leave_out_positions(leave_out, scores.size)
     buckets = strata.bucket_index_array(cal_sizes)
-    leave_out = leave_out_positions(leave_out, buckets.size)
     counts = np.bincount(buckets, minlength=strata.n_buckets)
     test_b = strata.bucket_index_array(test_sizes)
     own_b = buckets[leave_out]
@@ -355,20 +383,9 @@ def cia_predict(
     alpha: float,
     score_kind: str = "split",
 ) -> IntervalPrediction:
-    """Interval for the target group's test-side label sum.
-
-    Every group is scored on its calibration side and, as in the
-    experiment harness, the target's own score is left out of the pool
-    (empty calibration sides contribute score 0 and stay in it). With the
-    ``split`` kind the interval is the predicted test sum plus/minus the
-    threshold; with ``cqr`` the threshold pads the summed quantile band.
-    """
-    check_alpha(alpha)
-    pool, t, sums = _record_pool(views, samples, target_group, score_kind)
-    if not views[t].test_members:  # the sum over an empty test side is exactly 0
-        return _prediction(target_group, alpha, [0.0], [0.0])
-    q = loo_thresholds(pool.scores, alpha, [t])
-    return _prediction(target_group, alpha, *interval_from_threshold(q, sums))
+    """Interval for the target group's test-side label sum with every
+    group in the pool: :func:`stratified_cia_predict` with one bucket."""
+    return stratified_cia_predict(views, samples, target_group, alpha, score_kind, _ONE_BUCKET)
 
 
 def stratified_cia_predict(
@@ -379,14 +396,18 @@ def stratified_cia_predict(
     score_kind: str = "split",
     strata: StrataSpec | None = None,
 ) -> IntervalPrediction:
-    """Like :func:`cia_predict` but pools only size-compatible groups.
+    """Interval for the target group's test-side label sum from the
+    size-compatible groups.
 
+    Every group is scored on its calibration side and, as in the
+    experiment harness, the target's own score is left out of the pool.
     The pool is restricted to groups whose calibration-side size falls in
     the bucket covering the target's test-side size; thin buckets merge
     with neighbours per the strata spec. Groups with an empty calibration
-    side pool with the smallest-size bucket (score 0, as in the
-    unstratified engine). The default strata are cut from the other
-    groups' calibration sizes.
+    side score 0 and pool with the smallest-size bucket. The default
+    strata are cut from the other groups' calibration sizes. With the
+    ``split`` kind the interval is the predicted test sum plus/minus the
+    threshold; with ``cqr`` the threshold pads the summed quantile band.
     """
     check_alpha(alpha)
     pool, t, sums = _record_pool(views, samples, target_group, score_kind)

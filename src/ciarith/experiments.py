@@ -29,6 +29,7 @@ from . import baselines, scoring
 from .cia import (
     SPLIT_MODES,
     StrataSpec,
+    _ONE_BUCKET,
     _overlap_deltas,
     restrict_groups,
     stratified_thresholds,
@@ -45,7 +46,6 @@ from .core import (
     csr_offsets,
     group_csr,
     interval_from_threshold,
-    loo_thresholds,
     per_group,
     row_sum,
     score_threshold,
@@ -653,12 +653,9 @@ class _Session:
                 (self.config.seed, _STREAM_GSAMP, rep, METHOD_IDS.index(method)), sizes.size
             )
             q = baselines.group_sampling_threshold(cal_cols, sizes, alpha, score, None, rngs)
-        elif method.endswith("_strat"):
-            q = stratified_thresholds(
-                scores, split.cal_sizes, sizes, split.targets, split.strata, alpha
-            )
-        else:
-            q = loo_thresholds(scores, alpha, split.targets)
+        else:  # cia_*: the plain pool is the one-bucket stratum
+            strata = split.strata if method.endswith("_strat") else _ONE_BUCKET
+            q = stratified_thresholds(scores, split.cal_sizes, sizes, split.targets, strata, alpha)
         return interval_from_threshold(q, sums)
 
 

@@ -441,6 +441,7 @@ class TestStrataSpec:
         # empty calibration sides join the first bucket
         assert spec.bucket_index_array([0, 1, 2, 3, 500]).tolist() == [0, 0, 0, 1, 1]
         assert StrataSpec(()).bucket_index_array([0, 1, 10**9]).tolist() == [0, 0, 0]
+        assert [spec.bucket_index_array(s) for s in (0, np.int64(2), 3)] == [0, 0, 1]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 40), max_size=6, unique=True),
@@ -455,6 +456,21 @@ class TestStrataSpec:
         assert spec.cuts == (1, 3, 8)
         b = spec.bucket_index_array(range(30))
         assert b.min() == 0 and b.max() == spec.n_buckets - 1
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "size: 1.5 is not an integer"),
+        (True, "size: True is not an integer"),
+        (-1, "size must be >= 0, got -1"),
+    ])
+    def test_size_that_is_not_a_count_is_named(self, value, message):
+        # from_cal_sizes once cut [1.5, 2.7, 3, 4] and [True, 2, 3, 4] at (1, 2, 3)
+        # and dropped -1; bucket_index_array put 1.5 and True with size 1
+        with pytest.raises(ValueError, match=f"^calibration {re.escape(message)}$"):
+            StrataSpec.from_cal_sizes([value, 2, 3, 4, 5, 6])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StrataSpec((2,)).bucket_index_array([2, value])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StrataSpec((2,)).bucket_index_array(value)
 
     def test_from_degenerate_sizes_collapses_cuts(self):
         assert StrataSpec.from_cal_sizes([3, 3, 3, 3]).cuts == (3,)
@@ -590,6 +606,22 @@ def _every_target(views, samples, kind="split"):
         for v in views
         for predict in (cia_predict, stratified_cia_predict)
     ]
+
+
+@pytest.mark.parametrize("container", ["SampleSet", "dict"])
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("kind", ["split", "cqr"])
+def test_cia_predict_is_the_one_bucket_stratified_predictor(kind, alpha, container):
+    views, records = _record_split()
+    samples = SampleSet(records) if container == "SampleSet" else {r.index: r for r in records}
+    outcomes = [_outcome(cia_predict, views, samples, v.group_id, alpha, kind) for v in views]
+    assert outcomes == [
+        _outcome(stratified_cia_predict, views, samples, v.group_id, alpha, kind,
+                 strata=StrataSpec(()))
+        for v in views
+    ]
+    assert all(isinstance(o, tuple) for o in outcomes)
+    assert ("0x0.0p+0", "0x0.0p+0") in outcomes  # the view with an empty test side
 
 
 class TestRecordPoolMemo:

@@ -448,19 +448,23 @@ def test_stratified_thresholds_match_per_target_pools():
         assert np.array_equal(got, expected)
 
 
+# the stratified engine with a cut spec, and with one bucket
+_SPECS = {"strat": StrataSpec((2,)), "one-bucket": StrataSpec(())}
+
+
 @pytest.mark.parametrize("at", [-1, -2, 5, 6])
-@pytest.mark.parametrize("engine", ["loo", "strat"])
+@pytest.mark.parametrize("engine", ["loo", "strat", "one-bucket"])
 def test_leave_out_position_outside_the_pool_is_named(engine, at):
     scores, G = np.arange(5.0), 5
     with pytest.raises(ValueError, match=rf"^leave-out position {at} is outside \[0, {G}\)$"):
         if engine == "loo":
             loo_thresholds(scores, 0.2, [0, at])
         else:
-            stratified_thresholds(scores, [1, 2, 3, 4, 5], [1, 1], [0, at], StrataSpec((2,)), 0.2)
+            stratified_thresholds(scores, [1, 2, 3, 4, 5], [1, 1], [0, at], _SPECS[engine], 0.2)
 
 
 @pytest.mark.parametrize("value", [1.5, True, np.float64(1.0)])
-@pytest.mark.parametrize("engine", ["loo", "strat"])
+@pytest.mark.parametrize("engine", ["loo", "strat", "one-bucket"])
 def test_leave_out_position_that_is_not_an_integer_is_named(engine, value):
     # 1.5 and True once read as position 1
     scores = np.arange(1.0, 5.0)
@@ -469,7 +473,7 @@ def test_leave_out_position_that_is_not_an_integer_is_named(engine, value):
         if engine == "loo":
             loo_thresholds(scores, 0.5, [value])
         else:
-            stratified_thresholds(scores, [1, 2, 3, 4], [1], [value], StrataSpec((2,)), 0.5)
+            stratified_thresholds(scores, [1, 2, 3, 4], [1], [value], _SPECS[engine], 0.5)
 
 
 def test_leave_out_arrays_pass_only_as_integers():
@@ -485,11 +489,18 @@ def test_leave_out_arrays_pass_only_as_integers():
 @pytest.mark.parametrize("value", [1.5, True])
 def test_test_size_that_is_not_an_integer_is_named(value):
     message = rf"^test size: {re.escape(repr(value))} is not an integer$"
-    with pytest.raises(ValueError, match=message):
-        stratified_thresholds(np.arange(4.0), [1, 2, 3, 4], [value], [0], StrataSpec((2,)), 0.5)
+    for strata in _SPECS.values():
+        with pytest.raises(ValueError, match=message):
+            stratified_thresholds(np.arange(4.0), [1, 2, 3, 4], [value], [0], strata, 0.5)
     with pytest.raises(ValueError, match=message):
         group_sampling_threshold([np.zeros(4), np.zeros(4)], [value], 0.5, split_score, None,
                                  [np.random.default_rng(0)])
+
+
+@pytest.mark.parametrize("engine", ["strat", "one-bucket"])
+def test_empty_test_side_is_rejected(engine):
+    with pytest.raises(ValueError, match="^stratified prediction needs a non-empty test side$"):
+        stratified_thresholds(np.arange(4.0), [1, 2, 3, 4], [1, 0], [0, 1], _SPECS[engine], 0.5)
 
 
 def test_stratified_thresholds_check_alpha_where_no_target_is_in_its_pool():
@@ -499,6 +510,60 @@ def test_stratified_thresholds_check_alpha_where_no_target_is_in_its_pool():
     assert stratified_thresholds(*args, 0.5)[0] == 1.0  # 2nd smallest of {0, 1, 2}
     with pytest.raises(ValueError, match="alpha must be in"):
         stratified_thresholds(*args, 1.5)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, "calibration size: 1.5 is not an integer"),
+    (True, "calibration size: True is not an integer"),
+    (-1, "calibration size must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("engine", ["strat", "one-bucket"])
+def test_calibration_size_that_is_not_a_count_is_named(engine, value, message):
+    # 1.5 and True once read as size 1, and -1 as a size in bucket 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stratified_thresholds(np.arange(4.0), [value, 2, 3, 4], [1], [0], _SPECS[engine], 0.5)
+
+
+@pytest.mark.parametrize("n_scores, test_sizes, leave_out, message", [
+    # one test size once broadcast over three targets, two read from uninitialised memory
+    (6, [1], [0, 3, 5], "1 test sizes for 3 leave-out positions"),
+    (6, [1, 3, 1], [0], "3 test sizes for 1 leave-out positions"),  # once a bare IndexError
+    (3, [1], [0], "3 scores for 6 calibration sizes"),  # once a threshold from a scoreless group
+])
+@pytest.mark.parametrize("engine", ["strat", "one-bucket"])
+def test_lengths_that_do_not_pair_up_are_named(engine, n_scores, test_sizes, leave_out, message):
+    scores, cal_sizes = np.arange(n_scores, dtype=float), [1, 1, 3, 3, 3, 3]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stratified_thresholds(scores, cal_sizes, test_sizes, leave_out, _SPECS[engine], 0.5)
+
+
+@st.composite
+def one_bucket_cases(draw):
+    """A small pool with tied scores, empty calibration sides at score 0,
+    and targets drawn with repeats from it."""
+    G = draw(st.integers(1, 10))
+    cal_sizes = np.array(draw(st.lists(st.integers(0, 5), min_size=G, max_size=G)))
+    scores = np.array(draw(st.lists(st.integers(0, 3), min_size=G, max_size=G)), dtype=float)
+    scores[cal_sizes == 0] = 0.0  # an empty calibration side scores the empty sum
+    leave_out = np.array(draw(st.lists(st.integers(0, G - 1), max_size=2 * G)), dtype=np.int64)
+    test_sizes = draw(st.lists(st.integers(1, 5), min_size=leave_out.size,
+                               max_size=leave_out.size))
+    return scores, cal_sizes, test_sizes, leave_out, draw(st.integers(1, 99)) / 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_bucket_cases())
+def test_one_bucket_is_leave_one_out_and_the_all_merged_pool(case):
+    scores, cal_sizes, test_sizes, leave_out, alpha = case
+    one = stratified_thresholds(scores, cal_sizes, test_sizes, leave_out, StrataSpec(()), alpha)
+    # a bound above the pool merges every bucket, so each target pools with every group
+    merged = StrataSpec((1, 3), min_bucket_count=scores.size + 1)
+    want = loo_thresholds(scores, alpha, leave_out)
+    assert one.dtype == want.dtype and one.tobytes() == want.tobytes()
+    got = stratified_thresholds(scores, cal_sizes, test_sizes, leave_out, merged, alpha)
+    assert got.tobytes() == want.tobytes()
+    event(f"sentinel selected: {bool(np.isinf(want).any())}")
+    event(f"empty calibration side: {bool((cal_sizes == 0).any())}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Runtime code must not import scipy: it is a test tool only. No module
 keeps an import it does not use, the kernels module runs no matrix
 product (a BLAS call), no module writes a ``.state`` attribute or
-imports a private numpy module, and every module imports only from the
-layers below its own.
+imports a private numpy module, every module imports only from the
+layers below its own, and only ``cia.stratified_thresholds`` reads
+``loo_thresholds``.
 
 The scipy probe runs in a child process, because the test session itself
 may have imported scipy already.
@@ -172,3 +173,36 @@ def test_every_module_imports_only_from_lower_layers():
         if layer[dep] >= layer[m]
     ]
     assert not upward, upward
+
+
+def _readers_of(tree: ast.Module, module: str, func: str) -> list[str]:
+    """``module.qualname (line)`` of each read of ``func``, under its own
+    name, an import alias or as an attribute; ``<module>`` outside any def."""
+    names = {func} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for a in node.names if a.name == func and a.asname}
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr == func):
+            found.append(f"{module}.{'.'.join(scope) or '<module>'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_stratified_thresholds_takes_leave_one_out_thresholds():
+    # every CIA threshold goes through cia.stratified_thresholds, whose
+    # one-bucket case is the unstratified pool, so the pool rule is written once
+    pkg = Path(ciarith.__file__).resolve().parent
+    readers = [
+        r
+        for path in sorted(pkg.glob("*.py"))
+        for r in _readers_of(ast.parse(path.read_text(encoding="utf-8")), path.stem,
+                             "loo_thresholds")
+    ]
+    assert readers and all(r.startswith("cia.stratified_thresholds ") for r in readers), readers
