@@ -296,8 +296,8 @@ def stratified_thresholds(
     directly, since the merge below gives the same bits at two to three
     times the cost. Otherwise, leaving a target out lowers the count of its
     own calibration bucket by one, so its merged bucket range depends only
-    on (bucket of its test size, bucket of its calibration size): targets
-    are grouped by that pair and each pair's pool is sorted once.
+    on (bucket of its test size, bucket of its calibration size). Targets are
+    grouped by that range and by whether their own bucket lies in it.
     """
     scores = _checked_scores(scores, alpha)
     cal_sizes = _sizes("calibration size", cal_sizes)
@@ -314,14 +314,18 @@ def stratified_thresholds(
     leave_out = leave_out_positions(leave_out, scores.size)
     buckets = strata.bucket_index_array(cal_sizes)
     counts = np.bincount(buckets, minlength=strata.n_buckets)
-    test_b = strata.bucket_index_array(test_sizes)
-    own_b = buckets[leave_out]
-    q = np.empty(leave_out.size)
+    test_b, own_b, nb = strata.bucket_index_array(test_sizes), buckets[leave_out], counts.size
+    key = np.empty((nb, nb), dtype=np.intp)  # per pair: (lo, hi, own bucket in it), packed
     for j, b in set(zip(test_b.tolist(), own_b.tolist())):
-        lo, hi = strata.merged_range(counts - (np.arange(counts.size) == b), j)
+        lo, hi = strata.merged_range(counts - (np.arange(nb) == b), j)
+        key[j, b] = (lo * nb + hi) * 2 + (lo <= b <= hi)
+    target_key = key[test_b, own_b]
+    q = np.empty(leave_out.size)
+    for k in set(target_key.tolist()):
+        (lo, hi), inside = divmod(k // 2, nb), k % 2
         pool = np.flatnonzero((buckets >= lo) & (buckets <= hi))
-        sel = (test_b == j) & (own_b == b)
-        if lo <= b <= hi:  # these targets sit in their own pool: leave each out
+        sel = target_key == k
+        if inside:  # these targets sit in their pool: leave each out
             q[sel] = loo_thresholds(scores[pool], alpha, np.searchsorted(pool, leave_out[sel]))
         else:
             q[sel] = kth_smallest(scores[pool], alpha)

@@ -119,20 +119,18 @@ def _standardize(model: FittedModel, features) -> tuple[np.ndarray, bool]:
     return (F - model.feat_mean) / model.feat_scale, single
 
 
-# Query rows per selection slice. It bounds the selection's temporaries to
-# _BLOCK_ROWS x n_train; the slice size changes no result.
-_BLOCK_ROWS = 64
-# Bytes of float64 GEMM product per block of query rows.
-_GEMM_BYTES = 64 * 2**20
+# Query rows x training rows x features per slice: OpenBLAS takes a GEMM of at
+# most 2**18 multiply-adds on the calling thread, whatever its pool's size.
+_SLICE_CELLS = 2**18
 
 
-def _query_blocks(n_query: int, n_train: int) -> list[tuple[int, int]]:
-    """(start, stop) of GEMM blocks of query rows: at most ``_GEMM_BYTES`` of
-    product each but at least two rows, spread evenly, so only a single query
-    row makes a one-row block (which goes through GEMV, not GEMM)."""
-    per_block = max(2, _GEMM_BYTES // (8 * n_train))
-    n_blocks = max(1, min(-(-n_query // per_block), n_query // 2))
-    return [(n_query * i // n_blocks, n_query * (i + 1) // n_blocks) for i in range(n_blocks)]
+def _query_slices(n_query: int, n_train: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of query-row slices of at most ``_SLICE_CELLS`` cells (a
+    zero-width row counts as one feature) but at least two rows, spread evenly:
+    only a single query row makes a one-row slice (GEMV, not GEMM)."""
+    per_slice = max(2, _SLICE_CELLS // (n_train * max(width, 1)))
+    n_slices = max(1, min(-(-n_query // per_slice), n_query // 2))
+    return [(n_query * i // n_slices, n_query * (i + 1) // n_slices) for i in range(n_slices)]
 
 
 def _nearest(d: np.ndarray, k: int) -> np.ndarray:
@@ -159,19 +157,15 @@ def _nearest(d: np.ndarray, k: int) -> np.ndarray:
 def _neighbor_labels(model: FittedModel, Z: np.ndarray) -> np.ndarray:
     Ztr, ytr = model.params
     a, b = (Z**2).sum(axis=1), (Ztr**2).sum(axis=1)
-    blocks = _query_blocks(Z.shape[0], Ztr.shape[0])
-    g = np.empty((max(hi - lo for lo, hi in blocks), Ztr.shape[0]))
+    slices = _query_slices(Z.shape[0], *Ztr.shape)
+    buf = np.empty((max(hi - lo for lo, hi in slices), Ztr.shape[0]))
     out = np.empty((Z.shape[0], model.k_neighbors), dtype=np.intp)
-    for lo, hi in blocks:
-        # g is the one full-size buffer: the block's product goes in, and each
-        # slice's distances are formed there as d2 = a + b; d2 -= 2.0 * product
-        block = np.matmul(Z[lo:hi], Ztr.T, out=g[:hi - lo])
-        block *= 2.0
-        for s in range(0, hi - lo, _BLOCK_ROWS):
-            d = block[s:s + _BLOCK_ROWS]
-            rows = slice(lo + s, lo + s + d.shape[0])
-            np.subtract(a[rows, None] + b, d, out=d)
-            out[rows] = _nearest(d, model.k_neighbors)
+    for lo, hi in slices:
+        # the distances (a + b) - 2.0 * product, in place of the product
+        d = np.matmul(Z[lo:hi], Ztr.T, out=buf[:hi - lo])
+        d *= 2.0
+        np.subtract(a[lo:hi, None] + b, d, out=d)
+        out[lo:hi] = _nearest(d, model.k_neighbors)
     return ytr[out]
 
 
@@ -183,11 +177,13 @@ def neighbor_labels(model: FittedModel, features) -> np.ndarray:
     Distances are squared Euclidean on the z-scored features, and rows at
     equal distance go to the lower training index.
 
-    The product Z @ Ztr.T is taken in blocks of at most 64 MiB of query rows,
-    and the distances a + b - 2 (Z @ Ztr.T) are formed in it. An input whose
-    product fits one block makes one GEMM call, as an unblocked product does,
-    and gets its bits; with more blocks the BLAS may round the last bits, and
-    so order near ties, otherwise.
+    The distances a + b - 2 (Z @ Ztr.T) are formed slice by slice of query
+    rows. A slice's product has at most 2**18 cells (query rows x training
+    rows x features), which OpenBLAS takes on the calling thread, so the bits
+    do not depend on the BLAS thread count; only a training set of over 2**17
+    cells, where a slice keeps its two-row minimum, is exempt. A slice product
+    may differ in the last place from a one-call product of more rows, and so
+    order near ties otherwise.
     """
     if model.kind != "knn":
         raise ValueError(f"model kind {model.kind!r} has no neighbours")

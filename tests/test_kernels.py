@@ -327,8 +327,8 @@ def test_featureless_graph_setup_peak_memory_stays_within_budget():
 # ru_maxrss budget of a child that selects the neighbours of 3,000 query rows
 # among 10,000 training rows. Distances and the GEMM product as two full
 # (query x training) float64 matrices are 240 MB each; with the product taken
-# in blocks of models._GEMM_BYTES and the distances formed in it, one
-# 64 MiB block is the largest buffer.
+# in slices of models._SLICE_CELLS cells (8 rows here) and the distances
+# formed in it, the largest buffer is 0.64 MB, next to the interpreter's 30 MB.
 KNN_MEMORY_BUDGET_MB = 150
 
 _KNN_PROBE = """

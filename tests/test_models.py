@@ -1,5 +1,7 @@
 import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ciarith.models import (
     predict_point,
     predict_quantiles,
 )
+from conftest import child_env
 
 
 def rows(X, y):
@@ -138,11 +141,17 @@ class TestQuantiles:
             predict_quantiles(m, np.array([0.0]), (0.9, 0.1))
 
 
-def full_sort_oracle(model, queries):
-    """Neighbour labels by a full stable argsort of every distance row."""
+def full_sort_oracle(model, queries, sliced=False):
+    """Neighbour labels by a full stable argsort of every distance row; the
+    product is one call, or ``sliced`` one call per slice of the planner."""
     Ztr, ytr = model.params
     Z = (np.atleast_2d(queries) - model.feat_mean) / model.feat_scale
-    d2 = (Z**2).sum(axis=1)[:, None] + (Ztr**2).sum(axis=1)[None, :] - 2.0 * (Z @ Ztr.T)
+    if sliced:
+        bounds = models._query_slices(Z.shape[0], *Ztr.shape)
+        product = np.vstack([Z[lo:hi] @ Ztr.T for lo, hi in bounds])
+    else:
+        product = Z @ Ztr.T
+    d2 = (Z**2).sum(axis=1)[:, None] + (Ztr**2).sum(axis=1)[None, :] - 2.0 * product
     return ytr[np.argsort(d2, axis=1, kind="stable")[:, : model.k_neighbors]]
 
 
@@ -151,8 +160,8 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_matches_oracle(model, queries, levels):
-    oracle = full_sort_oracle(model, queries)
+def assert_matches_oracle(model, queries, levels, sliced=False):
+    oracle = full_sort_oracle(model, queries, sliced)
     assert_same_bits(neighbor_labels(model, queries), oracle)
     single = np.ndim(queries) == 1
     point = oracle.mean(axis=1)
@@ -188,6 +197,30 @@ def tied_knn_cases(draw):
     return fit_arrays(X, y, "knn", k_neighbors=k), queries, (level, 1.0)
 
 
+_THREAD_PROBE = """
+import hashlib
+
+import numpy as np
+
+from ciarith import models
+
+digest = hashlib.sha256()
+nearest = models._nearest
+
+
+def spy(d, k):
+    digest.update(np.ascontiguousarray(d).tobytes())
+    return nearest(d, k)
+
+
+models._nearest = spy
+rng = np.random.default_rng(0)
+model = models.fit_arrays(rng.normal(size=(2436, 2)), rng.normal(size=2436), "knn")
+models.neighbor_labels(model, rng.normal(size=(1044, 2)))
+print(digest.hexdigest())
+"""
+
+
 class TestNeighbourSelection:
     """The partial selection equals the first k columns of a full stable sort."""
 
@@ -198,59 +231,85 @@ class TestNeighbourSelection:
         assert_matches_oracle(model, queries, LEVELS + [drawn])
 
     def test_matches_full_sort_across_query_blocks(self):
-        # more query rows than one partition block, most of them tied at the
-        # k-th distance
+        # more query rows than one slice, most of them tied at the k-th distance
         rng = np.random.default_rng(5)
         X = rng.integers(-3, 4, size=(400, 2)).astype(float)
         y = rng.normal(size=400)
         queries = rng.integers(-3, 4, size=(700, 2)).astype(float)
+        assert len(models._query_slices(700, 400, 2)) > 1
         for k in (1, 7, 20, 399, 400):
-            assert_matches_oracle(fit_arrays(X, y, "knn", k_neighbors=k), queries, LEVELS)
+            model = fit_arrays(X, y, "knn", k_neighbors=k)
+            assert_matches_oracle(model, queries, LEVELS, sliced=True)
 
-    def test_one_block_matches_the_one_gemm_formula_bit_for_bit(self):
+    def test_matches_the_formula_taken_slice_by_slice_bit_for_bit(self):
         # z-scored features from a coarse grid, so true distances often tie
         # and the rounding of each operation decides the order; 700 query
-        # rows take several selection slices of one GEMM block
+        # rows take several slices
         rng = np.random.default_rng(11)
         grid = [-0.7, 0.1, 0.3, 1.1]
         X, queries = rng.choice(grid, size=(500, 3)), rng.choice(grid, size=(700, 3))
         y = rng.normal(size=500)
-        assert models._query_blocks(700, 500) == [(0, 700)]
+        assert len(models._query_slices(700, 500, 3)) > 1
         for k in (1, 9, 60, 500):
             model = fit_arrays(X, y, "knn", k_neighbors=k)
-            assert_same_bits(neighbor_labels(model, queries), full_sort_oracle(model, queries))
+            oracle = full_sort_oracle(model, queries, sliced=True)
+            assert_same_bits(neighbor_labels(model, queries), oracle)
 
-    @pytest.mark.parametrize("gemm_rows, slice_rows", [(2, 1), (3, 2), (5, 64), (40, 7)])
-    def test_blocks_match_the_one_gemm_formula_on_exact_inputs(
-        self, monkeypatch, gemm_rows, slice_rows
-    ):
+    @pytest.mark.parametrize("slice_rows", [1, 2, 5, 40])
+    def test_slices_match_the_one_gemm_formula_on_exact_inputs(self, monkeypatch, slice_rows):
         # integer-valued Z and Ztr (mean 0, scale 1) keep every product and
         # sum exact, so any split of the GEMM gives the formula's bits
         rng = np.random.default_rng(3)
         Ztr = rng.integers(-3, 4, size=(120, 2)).astype(float)
         y = rng.normal(size=120)
         queries = rng.integers(-3, 4, size=(101, 2)).astype(float)
-        monkeypatch.setattr(models, "_GEMM_BYTES", gemm_rows * 8 * 120)
-        monkeypatch.setattr(models, "_BLOCK_ROWS", slice_rows)
-        assert len(models._query_blocks(101, 120)) > 1
+        monkeypatch.setattr(models, "_SLICE_CELLS", slice_rows * 120 * 2)
+        assert len(models._query_slices(101, 120, 2)) > 1
         for k in (1, 7, 120):
             model = FittedModel("knn", np.zeros(2), np.ones(2), (Ztr, y), k_neighbors=k)
             assert_matches_oracle(model, queries, LEVELS)
             assert_matches_oracle(model, queries[0], LEVELS)
 
-    def test_no_block_has_one_row_unless_one_query_row(self, monkeypatch):
-        monkeypatch.setattr(models, "_GEMM_BYTES", 5 * 8 * 10)
-        for n_train in (10, 20, 30, 60, 10**6):  # 5, 2, 1, 0 and 0 rows fit
-            fit_rows = models._GEMM_BYTES // (8 * n_train)
+    def test_no_slice_has_one_row_unless_one_query_row(self, monkeypatch):
+        monkeypatch.setattr(models, "_SLICE_CELLS", 60)
+        # 5, 2, 3, 2, 0 and 0 rows fit; a zero-width row counts as one feature
+        for n_train, width in ((6, 2), (10, 3), (20, 0), (30, 1), (40, 2), (10**6, 3)):
+            fit_rows = models._SLICE_CELLS // (n_train * max(width, 1))
             for n_query in range(40):
-                blocks = models._query_blocks(n_query, n_train)
-                sizes = [hi - lo for lo, hi in blocks]
-                assert [lo for lo, _ in blocks] == [0, *np.cumsum(sizes)[:-1].tolist()]
+                slices = models._query_slices(n_query, n_train, width)
+                sizes = [hi - lo for lo, hi in slices]
+                assert [lo for lo, _ in slices] == [0, *np.cumsum(sizes)[:-1].tolist()]
                 assert sum(sizes) == n_query and max(sizes) - min(sizes) <= 1
                 assert min(sizes) >= 2 or n_query < 2
                 if n_query <= fit_rows:
-                    assert len(blocks) == 1
+                    assert len(slices) == 1
                 assert max(sizes) <= max(fit_rows, 3)
+
+    def test_zero_width_features_give_the_first_training_rows(self):
+        # every distance is 0, so the k nearest are the k lowest indices
+        y = np.array([3.0, -1.0, 2.5, 7.0, 0.5])
+        model = fit_arrays(np.empty((5, 0)), y, "knn")
+        assert model.k_neighbors == 2
+        assert_same_bits(neighbor_labels(model, np.empty((3, 0))), np.tile([3.0, -1.0], (3, 1)))
+        assert_same_bits(neighbor_labels(model, np.empty(0)), [[3.0, -1.0]])
+        assert_same_bits(predict_point(model, np.empty((3, 0))), np.ones(3))
+        assert_same_bits(predict_quantiles(model, np.empty((3, 0)), (0.1, 0.9)),
+                         (np.full(3, -1.0), np.full(3, 3.0)))
+        model = fit_arrays(np.empty((5, 0)), y, "knn", k_neighbors=4)
+        assert_same_bits(neighbor_labels(model, np.empty((2, 0))), np.tile(y[:4], (2, 1)))
+
+    def test_distances_do_not_depend_on_the_blas_thread_count(self):
+        # the paths-grid30 shape; a child per OpenBLAS thread count, one after
+        # the other, hashes every distance slice handed to the selection (a
+        # BLAS other than OpenBLAS ignores the variable, and the test holds)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split()[-1])
+        assert digests[0] == digests[1]
 
     def test_non_knn_model_has_no_neighbours(self):
         m = fit(rows([[0.0], [1.0]], [0, 1]), "linear_ls")
