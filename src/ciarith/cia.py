@@ -60,9 +60,9 @@ from .core import (
     group_csr,
     interval_from_threshold,
     kth_smallest,
-    leave_out_positions,
     loo_thresholds,
     per_group,
+    positions_in,
     row_sum,
     size_classes,
 )
@@ -311,7 +311,7 @@ def stratified_thresholds(
         raise ValueError(f"{test_sizes.size} test sizes for {leave_out.size} leave-out positions")
     if strata.n_buckets == 1:  # loo_thresholds checks the positions' range
         return loo_thresholds(scores, alpha, leave_out)
-    leave_out = leave_out_positions(leave_out, scores.size)
+    leave_out = positions_in("leave-out position", leave_out, scores.size)
     buckets = strata.bucket_index_array(cal_sizes)
     counts = np.bincount(buckets, minlength=strata.n_buckets)
     test_b, own_b, nb = strata.bucket_index_array(test_sizes), buckets[leave_out], counts.size

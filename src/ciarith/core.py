@@ -430,14 +430,14 @@ def score_threshold(scores, alpha: float) -> Threshold:
     return Threshold(float(kth_smallest(s, alpha)), alpha, s.size)
 
 
-def leave_out_positions(leave_out, n: int) -> np.ndarray:
-    """``leave_out`` as positions into a pool of ``n``, under
-    :func:`_index_array`'s rule (a float or a bool is a ValueError naming
-    it); ValueError names a position outside [0, n)."""
-    t = _index_array("leave-out position", leave_out)
+def positions_in(name: str, values, n: int) -> np.ndarray:
+    """``values`` as positions into a sequence of ``n``, under :func:`_index_array`'s
+    rule (a float or a bool is a ValueError naming it); one outside [0, n) is a
+    ValueError reading ``{name} {p} is outside [0, {n})``."""
+    t = _index_array(name, values)
     bad = (t < 0) | (t >= n)
     if bad.any():
-        raise ValueError(f"leave-out position {t[bad][0]} is outside [0, {n})")
+        raise ValueError(f"{name} {t[bad][0]} is outside [0, {n})")
     return t
 
 
@@ -452,7 +452,7 @@ def loo_thresholds(scores, alpha: float, leave_out) -> np.ndarray:
     exactly when k exceeds G - 1.
     """
     s = _finite_scores(_checked_scores(scores, alpha))
-    t = leave_out_positions(leave_out, s.size)
+    t = positions_in("leave-out position", leave_out, s.size)
     order = np.argsort(s, kind="stable")
     srt = np.append(s[order], math.inf)
     pos = np.empty(s.size, dtype=np.int64)

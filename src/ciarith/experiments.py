@@ -38,7 +38,6 @@ from .cia import (
 from .core import (
     IndexGroup,
     _check_finite,
-    _index_array,
     _integer,
     _parse_field,
     _read_csv,
@@ -47,6 +46,7 @@ from .core import (
     group_csr,
     interval_from_threshold,
     per_group,
+    positions_in,
     row_sum,
     score_threshold,
     size_classes,
@@ -406,10 +406,7 @@ def build_groups_by_category(
             raise ValueError(f"grouping column {c!r} not present in dataset")
         cols.append(dataset.group_values[c])
     n = dataset.n_rows
-    idx = np.arange(n) if indices is None else _index_array("row position", indices)
-    bad = (idx < 0) | (idx >= n)
-    if bad.any():
-        raise ValueError(f"row position {idx[bad][0]} is outside [0, {n})")
+    idx = np.arange(n) if indices is None else positions_in("row position", indices, n)
     buckets: dict[tuple, list[int]] = {}
     for i in idx.tolist():
         buckets.setdefault(tuple(col[i] for col in cols), []).append(i)
@@ -720,6 +717,8 @@ def _run_session(session: _Session):
 
 
 def _prepare_tabular(dataset: TabularDataset, groups, config) -> _Prep:
+    for g in groups:  # restrict_groups would drop a member that is no row as a training row
+        positions_in(f"group {g.group_id} member", g.members, dataset.n_rows)
     prep = _fit_and_predict(dataset.features, dataset.labels, config)
     kept = restrict_groups(groups, prep.universe.tolist())
     prep.groups = group_csr(sorted(g.members) for g in kept)

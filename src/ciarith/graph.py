@@ -8,17 +8,15 @@ a true label. Paths double as index groups over edge ids.
 from __future__ import annotations
 
 import csv
-import logging
-import math
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import kernels
-from .core import IndexGroup, _integer, _parse_field, _read_csv, _rng
+from .core import IndexGroup, _check_finite, _index_array, _integer, _parse_field, _read_csv, _rng
 
 __all__ = [
     "Edge",
@@ -29,8 +27,6 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
 ]
-
-logger = logging.getLogger(__name__)
 
 _HEADER_FIXED = ("edge_id", "src", "dst", "cost")
 
@@ -70,60 +66,51 @@ class PathGroup:
 class WeightedGraph:
     """Immutable directed graph with non-negative edge costs; it caches the
     shortest-path trees behind :func:`dijkstra` for one cost array at a time.
-    :meth:`_trees_for` is the one way to the costs and their trees."""
+    :meth:`_trees_for` is the one way to the costs and their trees.
 
-    def __init__(self, nodes: Iterable[int], edges: Sequence[Edge]):
+    Each edge-table column is checked by the package's shared rule, and an
+    error names its edge: ids (checked before the sort into id order) and
+    endpoints by :func:`~ciarith.core._integer`'s, costs by :func:`dijkstra`'s,
+    and features (one width, on all edges or none) and given labels must be
+    finite. An absent label is nan.
+    """
+
+    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
         self.node_ids = np.array(sorted({_integer("node", n) for n in nodes}), dtype=np.int64)
         self._node_pos = {n: i for i, n in enumerate(self.node_ids.tolist())}
+        edges = list(edges)
+        ids = _index_array("edge_id", [e.edge_id for e in edges])
         # row order is edge-id order, so ties resolve toward smaller ids
-        self.edges = tuple(sorted(edges, key=lambda e: e.edge_id))
-
-        seen: set[int] = set()
-        n_feat = None
-        for e in self.edges:
-            if e.edge_id in seen:
-                raise ValueError(f"duplicate edge_id {e.edge_id}")
-            seen.add(e.edge_id)
-            if e.src not in self._node_pos or e.dst not in self._node_pos:
-                raise ValueError(
-                    f"edge {e.edge_id} references unknown node {e.src}->{e.dst}"
-                )
-            if not (math.isfinite(e.cost) and e.cost >= 0):
-                raise ValueError(f"edge {e.edge_id} has invalid cost {e.cost}")
-            if e.features is not None:
-                if n_feat is None:
-                    n_feat = len(e.features)
-                elif len(e.features) != n_feat:
-                    raise ValueError(
-                        f"edge {e.edge_id} has {len(e.features)} features, "
-                        f"expected {n_feat}"
-                    )
-
-        self.edge_ids = np.array([e.edge_id for e in self.edges], dtype=np.int64)
-        self._edge_row = {_integer("edge_id", e.edge_id): i for i, e in enumerate(self.edges)}
-        self.costs = np.array([e.cost for e in self.edges], dtype=float)
-        self.src_pos = np.array([self._node_pos[e.src] for e in self.edges], dtype=np.int64)
-        self.dst_pos = np.array([self._node_pos[e.dst] for e in self.edges], dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        self.edge_ids, self.edges = ids[order], tuple([edges[i] for i in order.tolist()])
+        dup = np.flatnonzero(self.edge_ids[1:] == self.edge_ids[:-1])
+        if dup.size:
+            raise ValueError(f"duplicate edge_id {self.edge_ids[dup[0]]}")
+        ends = _index_array("node", [e.src for e in self.edges] + [e.dst for e in self.edges])
+        pos = np.searchsorted(self.node_ids, ends)
+        unknown = np.flatnonzero(np.searchsorted(self.node_ids, ends, side="right") == pos)
+        if unknown.size:
+            e = self.edges[unknown[0] % len(edges)]
+            raise ValueError(f"edge {e.edge_id} references unknown node {e.src}->{e.dst}")
+        self.src_pos, self.dst_pos = pos[:len(edges)], pos[len(edges):]
+        self.costs = _cost_array(self, [e.cost for e in self.edges])
+        self.features = None
         featured = [e for e in self.edges if e.features is not None]
-        if featured and len(featured) < len(self.edges):
-            bare = next(e for e in self.edges if e.features is None)
-            raise ValueError(f"edge {bare.edge_id} has no features, but other edges have {n_feat}")
-        feats = np.array([e.features for e in featured], dtype=float).reshape(
-            len(featured), n_feat or 0
-        )
-        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-        if bad.size:
-            raise ValueError(f"edge {featured[bad[0]].edge_id} has a non-finite feature")
-        self.features = feats if featured else None
-        # an absent label is nan; one given explicitly must be finite
-        self.labels = np.array(
-            [math.nan if e.label is None else e.label for e in self.edges], dtype=float
-        )
-        labeled = np.array([e.label is not None for e in self.edges], dtype=bool)
-        bad = np.flatnonzero(labeled & ~np.isfinite(self.labels))
-        if bad.size:
-            e = self.edges[bad[0]]
-            raise ValueError(f"edge {e.edge_id} has non-finite label {e.label}")
+        if featured:
+            n_feat = len(featured[0].features)
+            odd = next((e for e in self.edges
+                        if e.features is None or len(e.features) != n_feat), None)
+            if odd is not None and odd.features is None:
+                raise ValueError(f"edge {odd.edge_id} has no features, "
+                                 f"but other edges have {n_feat}")
+            if odd is not None:
+                raise ValueError(f"edge {odd.edge_id} has {len(odd.features)} features, "
+                                 f"expected {n_feat}")
+            self.features = np.array([e.features for e in self.edges], dtype=float)
+            _check_finite(self.features, lambda i, j: f"edge {self.edge_ids[i]}, feature {j}:")
+        self.labels = np.array([e.label for e in self.edges], dtype=float)  # None is nan
+        _check_finite(np.where([e.label is None for e in self.edges], 0.0, self.labels),
+                      lambda i: f"edge {self.edge_ids[i]}: label")
         # (read-only copy of the costs, {source position: pred_edge})
         self._trees: tuple[np.ndarray | None, OrderedDict[int, array]] = (None, OrderedDict())
 
@@ -142,10 +129,12 @@ class WeightedGraph:
             raise ValueError(f"unknown node {node_id}") from None
 
     def edge_row(self, edge_id: int) -> int:
-        try:
-            return self._edge_row[_integer("edge_id", edge_id)]
-        except KeyError:
-            raise ValueError(f"unknown edge {edge_id}") from None
+        """The row of ``edge_id``: its rank in the sorted :attr:`edge_ids`."""
+        eid = _integer("edge_id", edge_id)
+        row = int(np.searchsorted(self.edge_ids, eid))
+        if row == self.n_edges or self.edge_ids[row] != eid:
+            raise ValueError(f"unknown edge {edge_id}")
+        return row
 
     def _trees_for(self, cost_fn, sources=()) -> tuple[np.ndarray, OrderedDict[int, array]]:
         """(read-only copy of the costs, their cached trees by source position).
@@ -364,8 +353,18 @@ def load_edge_list(path) -> WeightedGraph:
 
 
 def save_edge_list(graph: WeightedGraph, path) -> None:
-    """Write the edge-list CSV so that a reload reproduces the graph exactly."""
+    """Write the edge-list CSV so that a reload reproduces the graph exactly.
+
+    A node without edges (the first is named) or features of width 0 have no
+    place in the format: each is a ValueError, raised before the file is opened."""
+    linked = np.zeros(graph.n_nodes, dtype=bool)
+    linked[graph.src_pos] = linked[graph.dst_pos] = True
+    if not linked.all():
+        raise ValueError(f"node {graph.node_ids[np.argmin(linked)]} has no edges, "
+                         "and an edge-list file cannot hold it")
     n_feat = graph.features.shape[1] if graph.features is not None else 0
+    if graph.features is not None and not n_feat:
+        raise ValueError("an edge-list file cannot hold features of width 0")
     has_label = bool(graph.edges) and any(e.label is not None for e in graph.edges)
     header = list(_HEADER_FIXED) + [f"feat_{d}" for d in range(n_feat)]
     if has_label:

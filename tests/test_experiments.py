@@ -341,6 +341,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"at least 3 rows or edges .*, got 1"):
             run_experiment(graph, PathSampling(n_paths=1), cfg)
 
+    @pytest.mark.parametrize("member", [999, -1, 10**12])
+    def test_group_member_outside_the_rows_rejected(self, member):
+        # once dropped with the training rows, so the run matched the unmodified one
+        ds, groups = generate_synthetic(200, 10)
+        cfg = ExperimentConfig(alphas=(0.1,), reps=3, methods=("cia_split",))
+        groups[0] = IndexGroup(groups[0].group_id, groups[0].members | {member})
+        with pytest.raises(ValueError, match=rf"^group 0 member {member} is outside \[0, 200\)$"):
+            run_experiment(ds, groups, cfg)
+
     def test_reproducible(self):
         ds, groups = generate_synthetic(300, 20, "gaussian", 9)
         cfg = ExperimentConfig(alphas=(0.1, 0.3), reps=5, seed=11)

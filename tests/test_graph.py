@@ -19,6 +19,7 @@ from ciarith.graph import (
     sample_path_groups,
     save_edge_list,
 )
+from conftest import make_grid_graph
 
 
 def brute_force_cost(graph: WeightedGraph, source: int, target: int):
@@ -611,6 +612,56 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match=where):
             load_edge_list(path)
 
+    def test_node_without_edges_rejected_before_writing(self, tmp_path):
+        # once dropped from the file, so the reload had 36 nodes, not 37
+        g = make_grid_graph(6)
+        g = WeightedGraph(nodes=[*g.node_ids.tolist(), 99], edges=g.edges)
+        path = tmp_path / "g.csv"
+        with pytest.raises(ValueError, match="^node 99 has no edges"):
+            save_edge_list(g, path)
+        assert not path.exists()
+
+    def test_zero_width_features_rejected_before_writing(self, tmp_path):
+        # once written as a featureless file, which reloads as a different graph
+        g = WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0, features=())])
+        path = tmp_path / "g.csv"
+        with pytest.raises(ValueError, match="features of width 0$"):
+            save_edge_list(g, path)
+        assert not path.exists()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        integer = st.sampled_from([int, np.int64])
+        n_nodes = data.draw(st.integers(2, 6))
+        n_feat = data.draw(st.none() | st.integers(1, 2))
+        labeled = data.draw(st.booleans())
+        value = st.floats(-1e6, 1e6, allow_nan=False)
+        ids = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
+        edges = [
+            Edge(data.draw(integer)(eid),
+                 data.draw(integer)(data.draw(st.integers(0, n_nodes - 1))),
+                 data.draw(integer)(data.draw(st.integers(0, n_nodes - 1))),
+                 data.draw(st.just(0.0) | st.floats(0, 1e6)),
+                 features=None if n_feat is None else tuple(data.draw(value)
+                                                            for _ in range(n_feat)),
+                 label=data.draw(st.none() | value) if labeled else None)
+            for eid in ids
+        ]
+        g = WeightedGraph(nodes={v for e in edges for v in (e.src, e.dst)}, edges=edges)
+        path = tmp_path_factory.mktemp("rt") / "g.csv"
+        save_edge_list(g, path)
+        g2 = load_edge_list(path)
+        assert g2 == g
+        for name in ("node_ids", "edge_ids", "src_pos", "dst_pos", "costs"):
+            a, b = getattr(g2, name), getattr(g, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (g2.features is None) == (g.features is None)
+        if g.features is not None:
+            assert g2.features.shape == g.features.shape
+            assert g2.features.tobytes() == g.features.tobytes()
+        assert g2.labels.tobytes() == g.labels.tobytes()
+
     def test_unlabeled_edges_have_empty_label_cell(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("edge_id,src,dst,cost,label\n0,1,2,1.0,0.5\n1,2,1,1.0,\n")
@@ -633,6 +684,21 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=rf"^{field}: {bad} is not an integer$"):
             WeightedGraph(nodes=nodes, edges=[Edge(edge_id, 0, 1, 1.0)])
 
+    @pytest.mark.parametrize("end", [True, 2.0, np.float64(1.0)])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_non_integer_endpoint_rejected_by_name(self, end, side):
+        # once accepted: True as node 1, 2.0 as node 2
+        edge = Edge(0, **{"src": 0, "dst": 1, side: end}, cost=1.0)
+        with pytest.raises(ValueError, match=rf"^node: {re.escape(repr(end))} is not an integer$"):
+            WeightedGraph(nodes=[0, 1, 2], edges=[edge])
+
+    @pytest.mark.parametrize("edge_id", ["a", None])
+    def test_non_numeric_edge_id_rejected_by_name(self, edge_id):
+        # once a bare TypeError from the sort by id
+        edges = [Edge(0, 0, 1, 1.0), Edge(edge_id, 1, 0, 1.0)]
+        with pytest.raises(ValueError, match=rf"^edge_id: {edge_id!r} is not an integer$"):
+            WeightedGraph(nodes=[0, 1], edges=edges)
+
     def test_integer_like_ids_are_accepted(self):
         edge = Edge(np.int64(4), np.int32(0), np.uint8(1), 1.0)
         g = WeightedGraph(nodes=np.arange(2), edges=[edge])
@@ -645,22 +711,23 @@ class TestGraphValidation:
             WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, 1.0), Edge(0, 1, 0, 1.0)])
 
     def test_invalid_cost_rejected(self):
-        with pytest.raises(ValueError, match="invalid cost"):
+        with pytest.raises(ValueError, match=r"^edge 0 has cost -2\.0: "
+                                             "edge costs must be finite and non-negative$"):
             WeightedGraph(nodes=[0, 1], edges=[Edge(0, 0, 1, -2.0)])
 
     @pytest.mark.parametrize(
         "bad, where",
         [
-            (dict(features=(0.5, math.inf)), "edge 7 has a non-finite feature"),
-            (dict(features=(math.nan, 0.5)), "edge 7 has a non-finite feature"),
-            (dict(label=math.inf), "edge 7 has non-finite label inf"),
-            (dict(label=math.nan), "edge 7 has non-finite label nan"),
+            (dict(features=(0.5, math.inf)), "edge 7, feature 1: inf is not finite"),
+            (dict(features=(math.nan, 0.5)), "edge 7, feature 0: nan is not finite"),
+            (dict(label=math.inf), "edge 7: label inf is not finite"),
+            (dict(label=math.nan), "edge 7: label nan is not finite"),
         ],
     )
     def test_non_finite_feature_or_label_names_the_edge(self, bad, where):
         fine = Edge(3, 0, 1, 1.0, features=(0.1, 0.2), label=1.0)
         edges = [fine, Edge(7, 1, 0, 1.0, **{"features": (0.3, 0.4), "label": 2.0, **bad})]
-        with pytest.raises(ValueError, match=where):
+        with pytest.raises(ValueError, match=f"^{where}$"):
             WeightedGraph(nodes=[0, 1], edges=edges)
         unlabeled = WeightedGraph(nodes=[0, 1], edges=[fine, Edge(7, 1, 0, 1.0, (0.3, 0.4))])
         assert math.isnan(unlabeled.labels[1])
